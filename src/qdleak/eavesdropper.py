@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError
 from .linalg import haar_unitary, partial_trace, trace_norm
+from .model import coupling_pq
 
 CONTROL_MODES = ("full", "rank_limited", "rank_spectral", "qubit_subset")
 
@@ -251,16 +251,6 @@ def evaluate_query(query, rng=None):
     return EavesdropReport.from_pguess(p, query.control)
 
 
-def _chain_pq(epsilon, alpha):
-    p = epsilon + (1.0 - epsilon) * math.sin(alpha)
-    q = (1.0 - epsilon) * math.cos(alpha)
-    n2 = p * p + q * q
-    if n2 < 1e-24:
-        raise DegeneracyError(
-            f"degenerate coupling: p = q = 0 at epsilon={epsilon}, alpha={alpha}")
-    return p, q, math.sqrt(n2)
-
-
 def analytic_pguess(n_layers, epsilon, alpha=0.0):
     """Closed-form guessing probability for n single-qubit layers.
 
@@ -274,7 +264,7 @@ def analytic_pguess(n_layers, epsilon, alpha=0.0):
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    p, q, n = _chain_pq(epsilon, alpha)
+    p, q, n = coupling_pq(epsilon, alpha)
     t = abs(q) / n
     return 0.5 + 0.5 * t ** (2 * n_layers - 1)
 
@@ -302,7 +292,7 @@ def keyrate_variant_report(n_layers, epsilon, alpha=0.0):
     q^2 where the derivation gives p^2. Their deviations are reported so the
     canonical form is pinned by data rather than by fiat.
     """
-    p, q, n = _chain_pq(epsilon, alpha)
+    p, q, n = coupling_pq(epsilon, alpha)
     pg = analytic_pguess(n_layers, epsilon, alpha)
     canonical = key_rate(pg)
 

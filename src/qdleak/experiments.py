@@ -11,14 +11,21 @@ that differ only in those reuse the same drawn couplings (one physical
 device, probed at different depths / with different antennas), which makes
 the documented monotonicity trends hold per repetition instead of merely on
 average.
+
+Every experiment runs the same job on each point of the product of its four
+grids; a table per experiment names the grids its rows vary over, the
+devices one point averages and the measurement taken on each device. The
+grids an experiment holds fixed must hold exactly one value.
 """
 
 import csv
 import hashlib
+import itertools
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -65,6 +72,14 @@ CSV_HEADER = (
 # when the implied rank 2**k has k >= 1.
 CONTROL_PERCENT_STEPS = tuple(range(7))
 
+# The grids of a sweep, in grid-point order, and the CSV column each fills.
+_GRID_COLUMNS = {
+    "eps_grid": "epsilon",
+    "alpha_grid": "alpha",
+    "nl_grid": "n_layers",
+    "ne_grid": "qubits_per_layer",
+}
+
 
 def derive_seed(*parts):
     """Stable 64-bit seed from arbitrary hashable coordinates."""
@@ -110,58 +125,150 @@ class SweepConfig:
             raise ValueError("control_mode must be 'rank' or 'subset'")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not 0 <= self.base_seed < 2 ** 64:
+            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         object.__setattr__(self, "ne_grid", tuple(int(n) for n in self.ne_grid))
         object.__setattr__(self, "nl_grid", tuple(int(n) for n in self.nl_grid))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        # NaN fails both comparisons, so this also rejects non-finite values
+        if not all(0.0 <= e <= 1.0 for e in self.eps_grid):
+            raise ValueError(f"every epsilon must be finite and in [0, 1], got {self.eps_grid}")
 
 
-_DEFAULT_GRIDS = {
-    "decoherence_sweep": dict(
-        eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
-        ne_grid=(1, 2, 3, 4, 5, 6, 7),
-        nl_grid=(1,),
-        alpha_grid=(0.0,),
-    ),
-    "pguess_vs_epsilon": dict(
-        eps_grid=tuple(round(0.1 * i, 1) for i in range(11)),
-        ne_grid=(3, 4, 5, 6, 7),
-        nl_grid=(1,),
-        alpha_grid=(0.0,),
-    ),
-    "partial_control_table": dict(
-        eps_grid=(0.0,),
-        ne_grid=(3, 4, 5, 6, 7),
-        nl_grid=(1,),
-        alpha_grid=(0.0,),
-    ),
-    "layers_table": dict(
-        eps_grid=(0.5, 0.7, 0.9),
-        ne_grid=(2,),
-        nl_grid=(1, 2, 3),
-        alpha_grid=(0.0,),
-    ),
-    "conjecture_check": dict(
-        eps_grid=tuple(round(0.1 * i, 1) for i in range(11)),
-        ne_grid=(1,),
-        nl_grid=(1, 2, 3, 4, 5),
-        alpha_grid=(0.0, math.pi / 6, math.pi / 4),
-    ),
+def _pguess(config, spec):
+    out0, out1 = run_exchange_pair(spec)
+    value = helstrom_pguess(EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer))
+    return {(spec.qubits_per_layer, "p_guess"): value}
+
+
+def _partial_control(config, spec):
+    ranks = [spec.qubits_per_layer - j for j in CONTROL_PERCENT_STEPS]
+    ks = [k for k in ranks if k >= 1]
+    out0, out1 = run_exchange_pair(spec)
+    rho0, rho1 = out0.rho_eve_layer, out1.rho_eve_layer
+    if config.control_mode == "rank":
+        rng = np.random.default_rng(control_seed(spec.seed))
+        per_k = nested_control_pguess(rho0, rho1, ks, rng)
+    else:
+        per_k = {
+            k: restricted_pguess(EavesdropQuery(
+                rho0, rho1, control=ControlSpec.qubit_subset(range(k))))
+            for k in ks
+        }
+    return {(k, "p_guess"): per_k.get(k) for k in ranks}
+
+
+def _gamma(config, spec):
+    params = DecoherenceFactorParams(pointer_basis=spec.basis)
+    return {(None, "gamma"): decoherence_factor(spec, params)}
+
+
+def _conjecture(config, spec):
+    stats = ("analytic_p_guess", "p_guess", "deviation", "key_rate",
+             "mutual_information")
+    try:
+        predicted = analytic_pguess(spec.n_layers, spec.epsilon, spec.alpha)
+    except DegeneracyError:
+        return {(1, stat): None for stat in stats}
+    simulated = _pguess(config, spec)[(1, "p_guess")]
+    values = (predicted, simulated, abs(simulated - predicted),
+              key_rate(predicted), mutual_information(predicted))
+    return {(1, stat): value for stat, value in zip(stats, values)}
+
+
+def _eavesdropped_devices(config):
+    return [(rep, MODE_HAAR, config.basis, config.eve_layer)
+            for rep in range(config.repetitions)]
+
+
+def _rejected_round_devices(config):
+    # both pointer bases of every repetition; no eavesdropper reads the layer
+    return [(rep, MODE_HAAR, basis, None)
+            for rep in range(config.repetitions) for basis in (COMPUTATIONAL, HADAMARD)]
+
+
+def _analytic_device(config):
+    # the closed-form chain is deterministic: one device, repetition 0
+    return [(0, MODE_ANALYTIC, config.basis, None)]
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """How one experiment turns a grid point into rows.
+
+    axes: the CSV columns its rows vary over, in row-seed order; the grids
+    of the other columns hold one value, and the `pinned` ones only their
+    default. devices(config): (rep, mode, basis, eve_layer) of every device
+    a point averages over, in averaging order. measure(config, spec):
+    {(controlled_qubits, statistic): value} of one device; a None value
+    makes that row a skipped one.
+    """
+
+    axes: tuple
+    defaults: dict
+    devices: object
+    measure: object
+    skip_reason: str = ""
+    pinned: tuple = ()
+    reports_alpha: bool = True
+
+
+_EPS_TENTHS = tuple(round(0.1 * i, 1) for i in range(11))
+
+_SWEEPS = {
+    "decoherence_sweep": _Sweep(
+        ("epsilon", "qubits_per_layer"),
+        dict(eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0), ne_grid=(1, 2, 3, 4, 5, 6, 7),
+             nl_grid=(1,), alpha_grid=(0.0,)),
+        _rejected_round_devices, _gamma, pinned=("alpha_grid",), reports_alpha=False),
+    "pguess_vs_epsilon": _Sweep(
+        ("epsilon", "qubits_per_layer"),
+        dict(eps_grid=_EPS_TENTHS, ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,),
+             alpha_grid=(0.0,)),
+        _eavesdropped_devices, _pguess),
+    "partial_control_table": _Sweep(
+        ("epsilon", "qubits_per_layer", "controlled_qubits"),
+        dict(eps_grid=(0.0,), ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,), alpha_grid=(0.0,)),
+        _eavesdropped_devices, _partial_control, skip_reason="k_out_of_range"),
+    "layers_table": _Sweep(
+        ("epsilon", "n_layers"),
+        dict(eps_grid=(0.5, 0.7, 0.9), ne_grid=(2,), nl_grid=(1, 2, 3), alpha_grid=(0.0,)),
+        _eavesdropped_devices, _pguess),
+    "conjecture_check": _Sweep(
+        ("epsilon", "alpha", "n_layers"),
+        dict(eps_grid=_EPS_TENTHS, ne_grid=(1,), nl_grid=(1, 2, 3, 4, 5),
+             alpha_grid=(0.0, math.pi / 6, math.pi / 4)),
+        _analytic_device, _conjecture, skip_reason="degenerate_coupling",
+        pinned=("ne_grid",)),
 }
 
 
 def resolve_config(config):
-    """Fill empty grids with the experiment's documented defaults."""
-    defaults = _DEFAULT_GRIDS[config.experiment]
+    """Fill empty grids with the experiment's documented defaults.
+
+    Raises ValueError for a fixed grid with more than one value and for a
+    pinned grid off its default.
+    """
+    sweep = _SWEEPS[config.experiment]
     updates = {}
-    for name, value in defaults.items():
+    for name, value in sweep.defaults.items():
         if not getattr(config, name):
             updates[name] = value
     if config.experiment == "layers_table" and config.eve_layer is None:
         # The published multi-layer table reads the first layer: it is hit
         # by the first interlayer projector pair and untouched afterwards.
         updates["eve_layer"] = 1
-    return replace(config, **updates) if updates else config
+    resolved = replace(config, **updates) if updates else config
+    for grid, column in _GRID_COLUMNS.items():
+        values = getattr(resolved, grid)
+        if column not in sweep.axes and len(values) != 1:
+            raise ValueError(f"{config.experiment} does not sweep {column}: "
+                             f"{grid} must hold one value, got {values}")
+        if grid in sweep.pinned and values != sweep.defaults[grid]:
+            raise ValueError(f"{config.experiment} runs only at {grid} = "
+                             f"{sweep.defaults[grid]}, got {values}")
+    return resolved
 
 
 @dataclass(frozen=True)
@@ -195,180 +302,56 @@ class ResultRow:
 
 
 def _mean_std(values):
+    if len(values) == 1:
+        # kept as is: numpy's mean of [-0.0] would be 0.0
+        return float(values[0]), 0.0
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
+    return float(arr.mean()), float(arr.std(ddof=1))
 
 
-def _row_seed(config, *coords):
-    return derive_seed(config.base_seed, config.experiment, *coords)
-
-
-def _pguess_values(config, epsilon, alpha, n_layers, ne, eve_layer):
-    """Full-control guessing probabilities across repetitions."""
-    values = []
-    for rep in range(config.repetitions):
-        seed = scenario_seed(config.base_seed, config.basis, MODE_HAAR,
-                             epsilon, alpha, ne, rep)
+def _grid_point_job(config, point):
+    """The rows of one grid point (epsilon, alpha, n_layers, ne)."""
+    sweep = _SWEEPS[config.experiment]
+    epsilon, alpha, n_layers, ne = point
+    samples = {}
+    for rep, mode, basis, eve_layer in sweep.devices(config):
+        seed = scenario_seed(config.base_seed, basis, mode, epsilon, alpha, ne, rep)
         spec = ScenarioSpec(
-            basis=config.basis, key_bit=0, n_layers=n_layers,
-            qubits_per_layer=ne, epsilon=epsilon, alpha=alpha,
-            mode=MODE_HAAR, seed=seed, eve_layer=eve_layer)
-        out0, out1 = run_exchange_pair(spec)
-        values.append(helstrom_pguess(
-            EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer)))
-    return values
+            basis=basis, key_bit=0, n_layers=n_layers, qubits_per_layer=ne,
+            epsilon=epsilon, alpha=alpha, mode=mode, seed=seed, eve_layer=eve_layer)
+        for key, value in sweep.measure(config, spec).items():
+            samples.setdefault(key, []).append(value)
 
-
-def _layers_job(config, point):
-    epsilon, n_layers = point
-    alpha = config.alpha_grid[0]
-    ne = config.ne_grid[0]
-    values = _pguess_values(config, epsilon, alpha, n_layers, ne, config.eve_layer)
-    mean, std = _mean_std(values)
-    return [ResultRow(config.experiment, epsilon, alpha, n_layers, ne, ne,
-                      "p_guess", mean, std, config.repetitions,
-                      _row_seed(config, epsilon, n_layers))]
-
-
-def _pguess_vs_epsilon_job(config, point):
-    epsilon, ne = point
-    alpha = config.alpha_grid[0]
-    n_layers = config.nl_grid[0]
-    values = _pguess_values(config, epsilon, alpha, n_layers, ne, config.eve_layer)
-    mean, std = _mean_std(values)
-    return [ResultRow(config.experiment, epsilon, alpha, n_layers, ne, ne,
-                      "p_guess", mean, std, config.repetitions,
-                      _row_seed(config, epsilon, ne))]
-
-
-def _partial_control_job(config, point):
-    epsilon, ne = point
-    alpha = config.alpha_grid[0]
-    n_layers = config.nl_grid[0]
-    ks = [ne - j for j in CONTROL_PERCENT_STEPS if ne - j >= 1]
-
-    samples = {k: [] for k in ks}
-    for rep in range(config.repetitions):
-        seed = scenario_seed(config.base_seed, config.basis, MODE_HAAR,
-                             epsilon, alpha, ne, rep)
-        spec = ScenarioSpec(
-            basis=config.basis, key_bit=0, n_layers=n_layers,
-            qubits_per_layer=ne, epsilon=epsilon, alpha=alpha,
-            mode=MODE_HAAR, seed=seed, eve_layer=config.eve_layer)
-        out0, out1 = run_exchange_pair(spec)
-        rho0, rho1 = out0.rho_eve_layer, out1.rho_eve_layer
-        if config.control_mode == "rank":
-            rng = np.random.default_rng(control_seed(seed))
-            per_k = nested_control_pguess(rho0, rho1, ks, rng)
-        else:
-            per_k = {
-                k: restricted_pguess(EavesdropQuery(
-                    rho0, rho1, control=ControlSpec.qubit_subset(range(k))))
-                for k in ks
-            }
-        for k, value in per_k.items():
-            samples[k].append(value)
-
+    # Rows that share their axis coordinates share one seed.
+    row_seed = cache(partial(derive_seed, config.base_seed, config.experiment))
     rows = []
-    for j in CONTROL_PERCENT_STEPS:
-        k = ne - j
-        if k >= 1:
-            mean, std = _mean_std(samples[k])
-            rows.append(ResultRow(
-                config.experiment, epsilon, alpha, n_layers, ne, k,
-                "p_guess", mean, std, config.repetitions,
-                _row_seed(config, epsilon, ne, k)))
-        else:
-            rows.append(ResultRow(
-                config.experiment, epsilon, alpha, n_layers, ne, k,
-                "p_guess", None, None, None,
-                _row_seed(config, epsilon, ne, k),
-                skip_reason="k_out_of_range"))
+    for (controlled, statistic), values in samples.items():
+        columns = dict(zip(_GRID_COLUMNS.values(), point), controlled_qubits=controlled)
+        if not sweep.reports_alpha:
+            columns["alpha"] = None
+        seed = row_seed(*(columns[axis] for axis in sweep.axes))
+        skipped = None in values
+        mean, std = (None, None) if skipped else _mean_std(values)
+        rows.append(ResultRow(
+            config.experiment, statistic=statistic, mean=mean, std=std,
+            repetitions=None if skipped else len(values), seed=seed,
+            skip_reason=sweep.skip_reason if skipped else "", **columns))
     return rows
 
 
-def _decoherence_job(config, point):
-    epsilon, ne = point
-    n_layers = config.nl_grid[0]
-    values = []
-    for rep in range(config.repetitions):
-        for basis in (COMPUTATIONAL, HADAMARD):
-            seed = scenario_seed(config.base_seed, basis, MODE_HAAR,
-                                 epsilon, 0.0, ne, rep)
-            spec = ScenarioSpec(
-                basis=basis, key_bit=0, n_layers=n_layers,
-                qubits_per_layer=ne, epsilon=epsilon, alpha=0.0,
-                mode=MODE_HAAR, seed=seed)
-            params = DecoherenceFactorParams(pointer_basis=basis)
-            values.append(decoherence_factor(spec, params))
-    mean, std = _mean_std(values)
-    return [ResultRow(config.experiment, epsilon, None, n_layers, ne, None,
-                      "gamma", mean, std, config.repetitions,
-                      _row_seed(config, epsilon, ne))]
-
-
-def _conjecture_job(config, point):
-    epsilon, alpha, n_layers = point
-    seed = scenario_seed(config.base_seed, config.basis, MODE_ANALYTIC,
-                         epsilon, alpha, 1, 0)
-    row_seed = _row_seed(config, epsilon, alpha, n_layers)
-
-    def row(statistic, value, skip=""):
-        return ResultRow(config.experiment, epsilon, alpha, n_layers, 1, 1,
-                         statistic, value, 0.0 if value is not None else None,
-                         1 if value is not None else None, row_seed, skip)
-
-    try:
-        predicted = analytic_pguess(n_layers, epsilon, alpha)
-    except DegeneracyError:
-        return [row(stat, None, skip="degenerate_coupling")
-                for stat in ("analytic_p_guess", "p_guess", "deviation",
-                             "key_rate", "mutual_information")]
-
-    spec = ScenarioSpec(
-        basis=config.basis, key_bit=0, n_layers=n_layers, qubits_per_layer=1,
-        epsilon=epsilon, alpha=alpha, mode=MODE_ANALYTIC, seed=seed)
-    out0, out1 = run_exchange_pair(spec)
-    simulated = helstrom_pguess(EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer))
-    return [
-        row("analytic_p_guess", predicted),
-        row("p_guess", simulated),
-        row("deviation", abs(simulated - predicted)),
-        row("key_rate", key_rate(predicted)),
-        row("mutual_information", mutual_information(predicted)),
-    ]
-
-
-_JOB_BUILDERS = {
-    "layers_table": (
-        _layers_job,
-        lambda c: [(e, nl) for e in c.eps_grid for nl in c.nl_grid]),
-    "pguess_vs_epsilon": (
-        _pguess_vs_epsilon_job,
-        lambda c: [(e, ne) for e in c.eps_grid for ne in c.ne_grid]),
-    "partial_control_table": (
-        _partial_control_job,
-        lambda c: [(e, ne) for e in c.eps_grid for ne in c.ne_grid]),
-    "decoherence_sweep": (
-        _decoherence_job,
-        lambda c: [(e, ne) for e in c.eps_grid for ne in c.ne_grid]),
-    "conjecture_check": (
-        _conjecture_job,
-        lambda c: [(e, a, nl) for e in c.eps_grid for a in c.alpha_grid
-                   for nl in c.nl_grid]),
-}
+def pool_size(jobs, n_points, cpu_count):
+    """Worker processes for a sweep: at most one per grid point and per CPU."""
+    return max(1, min(jobs, n_points, cpu_count or 1))
 
 
 def run_experiment(config):
     """Evaluate a sweep and return its rows, stably sorted."""
     config = resolve_config(config)
-    worker, points_of = _JOB_BUILDERS[config.experiment]
-    points = points_of(config)
-    bound = partial(worker, config)
-    if config.jobs > 1 and len(points) > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
+    points = list(itertools.product(*(getattr(config, g) for g in _GRID_COLUMNS)))
+    bound = partial(_grid_point_job, config)
+    workers = pool_size(config.jobs, len(points), os.cpu_count())
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(bound, points)
     else:
         chunks = [bound(p) for p in points]
@@ -378,17 +361,27 @@ def run_experiment(config):
 
 
 def write_csv(rows, path):
-    """Write rows with the fixed schema: UTF-8, LF endings, '.' decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.to_csv())
+    """Write rows with the fixed schema: UTF-8, LF endings, '.' decimals.
+
+    The rows go to a temporary file next to `path` that then replaces it, so
+    a failed write leaves any earlier file at `path` untouched.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            for row in rows:
+                writer.writerow(row.to_csv())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def run_and_write(config):
     """Run a sweep and write its CSV; returns (rows, path)."""
-    config = resolve_config(config)
     rows = run_experiment(config)
     path = config.output_path or f"{config.experiment}.csv"
     write_csv(rows, path)

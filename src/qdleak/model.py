@@ -59,10 +59,18 @@ def cz(alpha):
     return HADAMARD_GATE @ cx(alpha) @ HADAMARD_GATE
 
 
-def _pq(epsilon, alpha):
+def coupling_pq(epsilon, alpha):
+    """(p, q, sqrt(p**2 + q**2)) of the noisy coupling; raises at p = q = 0.
+
+    p = epsilon + (1-epsilon) sin(alpha), q = (1-epsilon) cos(alpha).
+    """
     p = epsilon + (1.0 - epsilon) * math.sin(alpha)
     q = (1.0 - epsilon) * math.cos(alpha)
-    return p, q
+    n2 = p * p + q * q
+    if n2 < 1e-24:
+        raise DegeneracyError(
+            f"degenerate coupling: p = q = 0 at epsilon={epsilon}, alpha={alpha}")
+    return p, q, math.sqrt(n2)
 
 
 def q_prime(epsilon, alpha):
@@ -73,12 +81,7 @@ def q_prime(epsilon, alpha):
     (up to the column-sign convention), and stays well defined even where that
     mixture is rank-deficient.
     """
-    p, q = _pq(epsilon, alpha)
-    n2 = p * p + q * q
-    if n2 < 1e-24:
-        raise DegeneracyError(
-            f"degenerate coupling: p = q = 0 at epsilon={epsilon}, alpha={alpha}")
-    n = math.sqrt(n2)
+    p, q, n = coupling_pq(epsilon, alpha)
     return np.array([[p, -q], [q, p]], dtype=complex) / n
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdleak import cli
+from qdleak import cli, experiments
 from qdleak.errors import ContractError
 
 
@@ -58,6 +58,25 @@ def test_invalid_scenario_returns_2(tmp_path, capsys):
                     "--eps-grid", "2.0", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["layers-table", "--ne-grid", "2,3"],
+    ["pguess-vs-epsilon", "--nl-grid", "1,2"],
+    ["decoherence-sweep", "--alpha", "0.7"],
+    ["conjecture-check", "--ne-grid", "2"],
+    ["layers-table", "--seed", "-1"],
+    ["layers-table", "--eps-grid", "0.5,nan"],
+])
+def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
+    def no_scenario(**kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(experiments, "ScenarioSpec", no_scenario)
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--reps", "1", "--jobs", "1", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_contract_violation_returns_3(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Sweep engine tests: seeding, determinism, schema, small-grid sanity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from qdleak.experiments import (
     SweepConfig,
     control_seed,
     derive_seed,
+    pool_size,
     resolve_config,
     run_and_write,
     run_experiment,
     scenario_seed,
     write_csv,
 )
+from qdleak.model import DecoherenceFactorParams, ScenarioSpec, decoherence_factor
 
 SMALL = dict(repetitions=3, base_seed=99)
 
@@ -70,6 +73,37 @@ def test_sweep_config_validation():
         SweepConfig(experiment="layers_table", repetitions=0)
     with pytest.raises(ValueError):
         SweepConfig(experiment="layers_table", control_mode="spectral")
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            SweepConfig(experiment="layers_table", base_seed=seed)
+    assert SweepConfig(experiment="layers_table", base_seed=2 ** 64 - 1)
+    for eps in (math.nan, math.inf, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            SweepConfig(experiment="layers_table", eps_grid=(0.5, eps))
+
+
+@pytest.mark.parametrize("experiment, grids", [
+    ("layers_table", dict(ne_grid=(2, 3))),
+    ("layers_table", dict(alpha_grid=(0.0, 0.5))),
+    ("pguess_vs_epsilon", dict(nl_grid=(1, 2))),
+    ("partial_control_table", dict(nl_grid=(1, 2))),
+    ("decoherence_sweep", dict(nl_grid=(1, 2))),
+    ("conjecture_check", dict(ne_grid=(1, 2))),
+    # grids the experiment pins to its default value
+    ("decoherence_sweep", dict(alpha_grid=(0.7,))),
+    ("conjecture_check", dict(ne_grid=(2,))),
+])
+def test_resolve_config_rejects_grids_the_experiment_holds_fixed(experiment, grids):
+    with pytest.raises(ValueError):
+        resolve_config(SweepConfig(experiment=experiment, **grids))
+
+
+def test_pool_size_is_bounded_by_points_and_cpus():
+    assert pool_size(jobs=1, n_points=10, cpu_count=4) == 1
+    assert pool_size(jobs=64, n_points=5, cpu_count=16) == 5
+    assert pool_size(jobs=8, n_points=30, cpu_count=2) == 2
+    assert pool_size(jobs=4, n_points=1, cpu_count=4) == 1
+    assert pool_size(jobs=4, n_points=10, cpu_count=None) == 1
 
 
 # ------------------------------------------------------- small sweeps
@@ -130,6 +164,23 @@ def test_decoherence_sweep_no_interaction_endpoint():
     assert abs(by_eps[1.0].mean - 1.0) < 1e-12
     assert by_eps[0.0].mean < by_eps[1.0].mean
     assert all(r.statistic == "gamma" for r in rows)
+
+
+def test_decoherence_sweep_averages_both_bases_of_every_repetition():
+    cfg = SweepConfig(experiment="decoherence_sweep", eps_grid=(0.5,),
+                      ne_grid=(2,), **SMALL)
+    (row,) = run_experiment(cfg)
+    values = []
+    for rep in range(SMALL["repetitions"]):
+        for basis in ("computational", "hadamard"):
+            seed = scenario_seed(SMALL["base_seed"], basis, "haar", 0.5, 0.0, 2, rep)
+            spec = ScenarioSpec(basis=basis, key_bit=0, n_layers=1,
+                                qubits_per_layer=2, epsilon=0.5, seed=seed)
+            values.append(decoherence_factor(
+                spec, DecoherenceFactorParams(pointer_basis=basis)))
+    assert row.repetitions == len(values) == 6
+    assert row.mean == float(np.mean(values))
+    assert row.std == float(np.std(values, ddof=1))
 
 
 def test_conjecture_check_rows():
@@ -230,6 +281,22 @@ def test_result_row_csv_formatting():
     skip = ResultRow("layers_table", 0.5, None, 1, 2, 0, "p_guess",
                      None, None, None, 42, skip_reason="k_out_of_range")
     assert skip.to_csv()[CSV_HEADER.index("mean")] == ""
+
+
+def test_failed_write_keeps_earlier_csv(tmp_path):
+    class Unwritable:
+        def to_csv(self):
+            raise RuntimeError("row cannot be formatted")
+
+    path = tmp_path / "out.csv"
+    earlier_row = ResultRow("layers_table", 0.5, 0.0, 1, 2, 2, "p_guess",
+                            0.8, 0.0, 1, 7)
+    write_csv([earlier_row], str(path))
+    earlier = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_csv([replace(earlier_row, mean=0.9), Unwritable()], str(path))
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_write_csv_utf8_lf(tmp_path):
