@@ -10,9 +10,10 @@ import numpy as np
 
 from qdleak import (
     EavesdropQuery,
-    EavesdropReport,
     ScenarioSpec,
     helstrom_pguess,
+    key_rate,
+    mutual_information,
     run_exchange,
     run_exchange_pair,
 )
@@ -35,12 +36,10 @@ print(np.round(out.rho_eve_layer.matrix.real, 4))
 # The eavesdropper's problem: distinguish the bit-0 and bit-1 versions of
 # that layer, produced by the *same* device (same seed, same couplings).
 out0, out1 = run_exchange_pair(spec)
-query = EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer)
-p = helstrom_pguess(query)
-report = EavesdropReport.from_pguess(p, query.control)
+p = helstrom_pguess(EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer))
 print("\noptimal guessing probability:", round(p, 4))
-print("mutual information leaked:", round(report.mutual_information, 4), "bits")
-print("remaining key rate:", round(report.key_rate, 4), "bits per sifted bit")
+print("mutual information leaked:", round(mutual_information(p), 4), "bits")
+print("remaining key rate:", round(key_rate(p), 4), "bits per sifted bit")
 
 print("\nguessing probability vs interaction damping (single seed):")
 for eps in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -56,19 +56,16 @@ from .model import (
     run_exchange_pair,
 )
 from .eavesdropper import (
-    ControlSpec,
     EavesdropQuery,
-    EavesdropReport,
     analytic_key_rate,
     analytic_pguess,
-    evaluate_query,
     helstrom_pguess,
     key_rate,
     keyrate_variant_report,
     mutual_information,
     nested_control_pguess,
-    restricted_pguess,
     sign_flipped_difference_keyrate,
+    subset_pguess,
     subspace_pguess,
 )
 from .experiments import (

@@ -47,9 +47,11 @@ def _add_common_flags(parser):
                         help="coupling rotation angle (default 0)")
     parser.add_argument("--eve-layer", type=int, default=None, metavar="INDEX",
                         help="1-based layer the eavesdropper reads (default: last; "
-                             "layers-table defaults to 1)")
+                             "layers-table defaults to 1); not accepted by "
+                             "decoherence-sweep and conjecture-check")
     parser.add_argument("--control-mode", choices=("rank", "subset"), default=None,
-                        help="partial-control model for the table experiment")
+                        help="partial-control model (default rank); "
+                             "partial-control-table only")
     parser.add_argument("--eps-grid", default=None, metavar="LIST",
                         help="comma-separated interaction degrees, e.g. 0,0.5,1")
     parser.add_argument("--ne-grid", default=None, metavar="LIST",
@@ -130,7 +132,7 @@ def _merged(args):
         output_path=out,
         jobs=jobs if jobs is not None else (os.cpu_count() or 1),
         eve_layer=eve_layer,
-        control_mode=control_mode if control_mode is not None else "rank",
+        control_mode=control_mode,
     )
 
 

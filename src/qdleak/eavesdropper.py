@@ -4,8 +4,9 @@ The eavesdropper holds one environment layer in one of two states (one per
 key-bit value) and performs the optimal two-state discrimination. Full
 access gives the textbook bound p = 1/2 + 1/2 ||lam*rho0 - (1-lam)*rho1||_1;
 partial access is modeled either as a random rank-2^k subspace her antenna
-resolves (optimal measurement inside, fair coin outside), as the optimal
-such subspace, or as access to a subset of the layer's qubits.
+resolves (optimal measurement inside, fair coin outside;
+nested_control_pguess) or as access to a subset of the layer's qubits
+(subset_pguess).
 
 The closed-form guessing probability and key rate for chains of single-qubit
 layers live here too, next to the variant diagnostics that pin down the
@@ -20,72 +21,18 @@ import numpy as np
 from .linalg import haar_unitary, partial_trace, trace_norm
 from .model import coupling_pq
 
-CONTROL_MODES = ("full", "rank_limited", "rank_spectral", "qubit_subset")
-
 
 def _rho(x):
     return np.asarray(getattr(x, "matrix", x), dtype=complex)
 
 
 @dataclass(frozen=True)
-class ControlSpec:
-    """How much of the leaked layer the eavesdropper can resolve.
-
-    mode:
-      full          — the whole layer.
-      rank_limited  — a random 2^controlled_qubits-dimensional subspace
-                      (an arbitrary antenna of that rank); needs an rng.
-      rank_spectral — the best такой subspace: spanned by the top
-                      |eigenvalue| directions of the weighted difference.
-      qubit_subset  — the listed qubits of the layer, rest traced out.
-    controlled_qubits = 0 means no access at all (guessing probability 1/2).
-    """
-
-    mode: str = "full"
-    controlled_qubits: int = 0
-    subset: tuple | None = None
-
-    def __post_init__(self):
-        if self.mode not in CONTROL_MODES:
-            raise ValueError(f"mode must be one of {CONTROL_MODES}, got {self.mode!r}")
-        if self.controlled_qubits < 0:
-            raise ValueError("controlled_qubits must be >= 0")
-        if self.mode == "qubit_subset":
-            if self.subset is None:
-                raise ValueError("qubit_subset mode requires a subset")
-            subset = tuple(int(i) for i in self.subset)
-            if len(set(subset)) != len(subset):
-                raise ValueError("subset indices must be distinct")
-            if len(subset) != self.controlled_qubits:
-                raise ValueError("subset length must equal controlled_qubits")
-            object.__setattr__(self, "subset", subset)
-
-    @classmethod
-    def full(cls):
-        return cls(mode="full")
-
-    @classmethod
-    def rank_limited(cls, k):
-        return cls(mode="rank_limited", controlled_qubits=k)
-
-    @classmethod
-    def rank_spectral(cls, k):
-        return cls(mode="rank_spectral", controlled_qubits=k)
-
-    @classmethod
-    def qubit_subset(cls, subset):
-        subset = tuple(subset)
-        return cls(mode="qubit_subset", controlled_qubits=len(subset), subset=subset)
-
-
-@dataclass(frozen=True)
 class EavesdropQuery:
-    """A two-state discrimination problem with a control model attached."""
+    """A two-state discrimination problem: the states and the prior of rho0."""
 
     rho0: object
     rho1: object
     lam: float = 0.5
-    control: ControlSpec = ControlSpec()
 
     def __post_init__(self):
         r0, r1 = _rho(self.rho0), _rho(self.rho1)
@@ -123,63 +70,38 @@ def subspace_pguess(query, isometry):
     return 0.5 + 0.5 * trace_norm(compressed)
 
 
-def _layer_qubit_count(dim):
-    n = int(round(math.log2(dim)))
-    if 2 ** n != dim:
-        raise ValueError(f"layer dimension {dim} is not a power of two")
-    return n
+def subset_pguess(rho0, rho1, subset, lam=0.5):
+    """Guessing probability with access to only the listed qubits of a layer.
 
-
-def restricted_pguess(query, rng=None):
-    """Guessing probability under the query's partial-control model.
-
-    rank_limited draws the antenna subspace from `rng` (Haar-uniform among
-    rank-2^k subspaces); rank_spectral takes the best one, i.e. keeps the
-    2^k eigenvalues of largest magnitude of the weighted difference;
-    qubit_subset traces both states down to the chosen qubits first.
-    controlled_qubits = 0 always returns exactly 0.5.
+    Both states are traced down to the qubits in `subset` (indices into the
+    layer, 0-based) before the optimal measurement; the empty subset gives
+    exactly 1/2.
     """
-    control = query.control
-    if control.mode == "full":
-        raise ValueError("restricted_pguess needs a partial-control mode; "
-                         "use helstrom_pguess for full access")
-    dim = query.dim
-    k = control.controlled_qubits
-    if control.mode in ("rank_limited", "rank_spectral"):
-        if 2 ** k > dim:
-            raise ValueError(f"rank 2^{k} exceeds the layer dimension {dim}")
-        if k == 0:
-            return 0.5
-        if control.mode == "rank_spectral":
-            mu = np.abs(np.linalg.eigvalsh(query.delta()))
-            mu.sort()
-            return 0.5 + 0.5 * float(mu[-(2 ** k):].sum())
-        if rng is None:
-            raise ValueError("rank_limited control draws a random subspace: pass rng")
-        v = haar_unitary(dim, rng)[:, : 2 ** k]
-        return subspace_pguess(query, v)
-
-    # qubit_subset
-    n = _layer_qubit_count(dim)
-    if k == 0:
-        return 0.5
-    subset = control.subset
-    if max(subset) >= n or min(subset) < 0:
+    query = EavesdropQuery(rho0, rho1, lam=lam)
+    n = int(round(math.log2(query.dim)))
+    if 2 ** n != query.dim:
+        raise ValueError(f"layer dimension {query.dim} is not a power of two")
+    subset = tuple(int(i) for i in subset)
+    if len(set(subset)) != len(subset):
+        raise ValueError(f"subset indices must be distinct, got {subset}")
+    if any(not 0 <= i < n for i in subset):
         raise ValueError(f"subset {subset} out of range for a {n}-qubit layer")
+    if not subset:
+        return 0.5
     dims = (2,) * n
-    r0 = partial_trace(_rho(query.rho0), dims, subset)
-    r1 = partial_trace(_rho(query.rho1), dims, subset)
-    reduced = EavesdropQuery(r0, r1, lam=query.lam)
+    reduced = EavesdropQuery(partial_trace(_rho(rho0), dims, subset),
+                             partial_trace(_rho(rho1), dims, subset), lam=lam)
     return helstrom_pguess(reduced)
 
 
 def nested_control_pguess(rho0, rho1, ks, rng, lam=0.5):
-    """rank_limited guessing probabilities for several k at once.
+    """Guessing probabilities with a random rank-2^k antenna, for several k.
 
-    Draws one Haar unitary and uses its leading 2^k columns for every k, so
-    the antennas are nested and the result is non-decreasing in k for the
-    same draw (a compression to a smaller subspace can only lose trace norm).
-    Returns {k: p_guess}.
+    The antenna resolves a Haar-random 2^k-dimensional subspace of the layer
+    (subspace_pguess); k = 0 gives exactly 1/2. One Haar unitary is drawn and
+    its leading 2^k columns serve every k, so the antennas are nested and the
+    result is non-decreasing in k for the same draw (a compression to a
+    smaller subspace can only lose trace norm). Returns {k: p_guess}.
     """
     query = EavesdropQuery(rho0, rho1, lam=lam)
     dim = query.dim
@@ -218,37 +140,10 @@ def key_rate(p_guess):
     """Secret bits per sifted bit: the binary entropy of the guessing probability.
 
     This is 1 - mutual_information(p_guess); the two share the same log terms
-    so the identity holds exactly in floating point.
+    so the identity holds exactly in floating point. Subtracting from +0.0
+    rather than negating keeps key_rate(1.0) at +0.0 instead of -0.0.
     """
-    return -_signed_plog(_check_pguess(p_guess))
-
-
-@dataclass(frozen=True)
-class EavesdropReport:
-    """Guessing probability with its information-theoretic consequences."""
-
-    p_guess: float
-    mutual_information: float
-    key_rate: float
-    control: ControlSpec
-
-    @classmethod
-    def from_pguess(cls, p_guess, control):
-        return cls(
-            p_guess=float(p_guess),
-            mutual_information=mutual_information(p_guess),
-            key_rate=key_rate(p_guess),
-            control=control,
-        )
-
-
-def evaluate_query(query, rng=None):
-    """Full report for a query, dispatching on its control mode."""
-    if query.control.mode == "full":
-        p = helstrom_pguess(query)
-    else:
-        p = restricted_pguess(query, rng=rng)
-    return EavesdropReport.from_pguess(p, query.control)
+    return 0.0 - _signed_plog(_check_pguess(p_guess))
 
 
 def analytic_pguess(n_layers, epsilon, alpha=0.0):

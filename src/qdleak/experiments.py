@@ -36,8 +36,7 @@ from .eavesdropper import (
     key_rate,
     mutual_information,
     nested_control_pguess,
-    restricted_pguess,
-    ControlSpec,
+    subset_pguess,
 )
 from .errors import DegeneracyError
 from .model import (
@@ -113,7 +112,7 @@ class SweepConfig:
     output_path: str | None = None
     jobs: int = 1
     eve_layer: int | None = None
-    control_mode: str = "rank"
+    control_mode: str | None = None
     basis: str = COMPUTATIONAL
 
     def __post_init__(self):
@@ -121,7 +120,7 @@ class SweepConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.control_mode not in ("rank", "subset"):
+        if self.control_mode not in (None, "rank", "subset"):
             raise ValueError("control_mode must be 'rank' or 'subset'")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -151,11 +150,7 @@ def _partial_control(config, spec):
         rng = np.random.default_rng(control_seed(spec.seed))
         per_k = nested_control_pguess(rho0, rho1, ks, rng)
     else:
-        per_k = {
-            k: restricted_pguess(EavesdropQuery(
-                rho0, rho1, control=ControlSpec.qubit_subset(range(k))))
-            for k in ks
-        }
+        per_k = {k: subset_pguess(rho0, rho1, range(k)) for k in ks}
     return {(k, "p_guess"): per_k.get(k) for k in ranks}
 
 
@@ -245,12 +240,18 @@ _SWEEPS = {
 
 
 def resolve_config(config):
-    """Fill empty grids with the experiment's documented defaults.
+    """Fill empty grids and settings with the experiment's documented defaults.
 
-    Raises ValueError for a fixed grid with more than one value and for a
-    pinned grid off its default.
+    Raises ValueError for a fixed grid with more than one value, for a
+    pinned grid off its default, and for an eve_layer or control_mode the
+    experiment does not read.
     """
     sweep = _SWEEPS[config.experiment]
+    if config.eve_layer is not None and sweep.devices is not _eavesdropped_devices:
+        raise ValueError(f"{config.experiment} has no eavesdropper to set eve_layer for")
+    if config.control_mode is not None and config.experiment != "partial_control_table":
+        raise ValueError(f"control_mode applies to partial_control_table only, "
+                         f"not to {config.experiment}")
     updates = {}
     for name, value in sweep.defaults.items():
         if not getattr(config, name):
@@ -259,6 +260,8 @@ def resolve_config(config):
         # The published multi-layer table reads the first layer: it is hit
         # by the first interlayer projector pair and untouched afterwards.
         updates["eve_layer"] = 1
+    if config.experiment == "partial_control_table" and config.control_mode is None:
+        updates["control_mode"] = "rank"
     resolved = replace(config, **updates) if updates else config
     for grid, column in _GRID_COLUMNS.items():
         values = getattr(resolved, grid)
@@ -303,7 +306,7 @@ class ResultRow:
 
 def _mean_std(values):
     if len(values) == 1:
-        # kept as is: numpy's mean of [-0.0] would be 0.0
+        # the ddof=1 std of a single value is NaN
         return float(values[0]), 0.0
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1))

@@ -19,7 +19,6 @@ from .errors import DegeneracyError, DimensionLimitError
 DIM_LIMIT = 2 ** 14
 
 HERMITIAN_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 
 
 def _as_complex(a):
@@ -30,13 +29,6 @@ def is_hermitian(m, atol=HERMITIAN_ATOL):
     m = _as_complex(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and \
         np.max(np.abs(m - m.conj().T)) <= atol
-
-
-def is_unitary(m, atol=UNITARY_ATOL):
-    m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= atol
 
 
 def check_dim(dim, max_dim=DIM_LIMIT):
@@ -298,8 +290,3 @@ class DensityMatrix:
         if np.linalg.eigvalsh(m).min() < -psd_atol:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         return self
-
-    def partial_trace(self, keep):
-        keep = sorted(set(keep))
-        mat = partial_trace(self.matrix, self.dims, keep)
-        return DensityMatrix(mat, tuple(self.dims[i] for i in keep))

@@ -121,8 +121,7 @@ class ScenarioSpec:
     alpha rotates the analytic-mode interlayer coupling; in haar mode it
     rotates the premeasurement instead (the haar couplings carry their own
     randomness). eve_layer selects which layer the eavesdropper reads
-    (1-based; None = last). layer_wide_unitaries switches the haar-mode
-    conditional from a per-qubit product to one rotation of the whole layer.
+    (1-based; None = last).
     """
 
     basis: str
@@ -134,7 +133,6 @@ class ScenarioSpec:
     mode: str = MODE_HAAR
     seed: int = 0
     eve_layer: int | None = None
-    layer_wide_unitaries: bool = False
 
     def __post_init__(self):
         if self.basis not in BASES:
@@ -197,15 +195,15 @@ class ChainLink:
 
     The link operator is projectors[0] (x) conditionals[0] +
     projectors[1] (x) conditionals[1], acting on source then target qubits.
-    factors holds the per-qubit 2x2 factors of each conditional when the
-    conditional is a qubit-wise product (None in layer-wide mode).
+    factors holds the per-qubit 2x2 factors of each conditional, which is a
+    qubit-wise product.
     """
 
     source: tuple
     target: tuple
     projectors: tuple
     conditionals: tuple
-    factors: tuple | None = None
+    factors: tuple
 
     def operator(self):
         p0, p1 = self.projectors
@@ -255,11 +253,6 @@ def build_interaction_chain(spec, rng):
         if spec.mode == MODE_ANALYTIC:
             factors1 = [q_prime(spec.epsilon, spec.alpha)]
             u1 = factors1[0]
-        elif spec.layer_wide_unitaries:
-            factors1 = None
-            v = haar_unitary(spec.layer_dim, rng)
-            u1 = orthonormalize_qr(
-                spec.epsilon * ident + (1.0 - spec.epsilon) * v)
         else:
             factors1 = [_noisy_qubit_unitary(spec.epsilon, rng) for _ in range(ne)]
             u1 = kron_all(factors1)
@@ -268,13 +261,9 @@ def build_interaction_chain(spec, rng):
             p0 = _conjugate_all(p0, len(source))
             p1 = _conjugate_all(p1, len(source))
             u1 = _conjugate_all(u1, ne)
-            if factors1 is not None:
-                factors1 = [_conjugate_all(f, 1) for f in factors1]
+            factors1 = [_conjugate_all(f, 1) for f in factors1]
 
-        factors = None
-        if factors1 is not None:
-            factors0 = [np.eye(2, dtype=complex)] * ne
-            factors = (tuple(factors0), tuple(factors1))
+        factors = (tuple([np.eye(2, dtype=complex)] * ne), tuple(factors1))
         links.append(ChainLink(
             source=source, target=target, projectors=(p0, p1),
             conditionals=(ident.copy(), u1), factors=factors))
@@ -346,7 +335,6 @@ class DecoherenceFactorParams:
     """
 
     pointer_basis: str
-    subsystem_count: int | None = None
     intercepted_fraction: float = 0.0
 
     def __post_init__(self):
@@ -354,17 +342,12 @@ class DecoherenceFactorParams:
             raise ValueError(f"pointer_basis must be one of {BASES}")
         if not 0.0 <= self.intercepted_fraction < 1.0:
             raise ValueError("intercepted_fraction must lie in [0, 1)")
-        if self.subsystem_count is not None and self.subsystem_count < 1:
-            raise ValueError("subsystem_count must be positive")
 
     def used_qubits(self, available):
-        m = available if self.subsystem_count is None else self.subsystem_count
-        if m > available:
-            raise ValueError(
-                f"subsystem_count {m} exceeds the {available} first-layer qubits")
-        used = math.floor((1.0 - self.intercepted_fraction) * m)
+        used = math.floor((1.0 - self.intercepted_fraction) * available)
         if used < 1:
-            raise ValueError("(1 - intercepted_fraction) * subsystem_count must be >= 1")
+            raise ValueError(
+                f"(1 - intercepted_fraction) * {available} qubits must be >= 1")
         return used
 
 
@@ -373,9 +356,6 @@ def _check_rejected_setup(spec, params):
         raise ContractError(
             "decoherence factor is defined for rejected rounds: pointer_basis "
             "must equal the scenario's measurement basis")
-    if spec.layer_wide_unitaries:
-        raise ContractError(
-            "per-qubit overlap factors are undefined with layer-wide conditionals")
 
 
 def decoherence_factor(spec, params, rng=None):

@@ -67,6 +67,13 @@ def test_invalid_scenario_returns_2(tmp_path, capsys):
     ["conjecture-check", "--ne-grid", "2"],
     ["layers-table", "--seed", "-1"],
     ["layers-table", "--eps-grid", "0.5,nan"],
+    # flags the command would ignore
+    ["conjecture-check", "--eps-grid", "0.5", "--nl-grid", "3", "--alpha", "0",
+     "--eve-layer", "2"],
+    ["decoherence-sweep", "--ne-grid", "2", "--eve-layer", "5",
+     "--control-mode", "subset"],
+    ["layers-table", "--control-mode", "subset"],
+    ["pguess-vs-epsilon", "--control-mode", "rank"],
 ])
 def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
     def no_scenario(**kwargs):

@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from qdleak.eavesdropper import (
-    ControlSpec,
     EavesdropQuery,
-    EavesdropReport,
     analytic_key_rate,
     analytic_pguess,
-    evaluate_query,
     helstrom_pguess,
     key_rate,
     keyrate_variant_report,
     mutual_information,
     nested_control_pguess,
-    restricted_pguess,
     sign_flipped_difference_keyrate,
+    subset_pguess,
     subspace_pguess,
 )
 from qdleak.errors import DegeneracyError
@@ -119,34 +116,33 @@ def test_full_rank_restriction_recovers_helstrom():
     rng = np.random.default_rng(1)
     rho0, rho1 = random_density(8, rng), random_density(8, rng)
     full = helstrom_pguess(EavesdropQuery(rho0, rho1))
-    q = EavesdropQuery(rho0, rho1, control=ControlSpec.rank_limited(3))
-    got = restricted_pguess(q, rng=np.random.default_rng(5))
+    got = nested_control_pguess(rho0, rho1, (3,), np.random.default_rng(5))[3]
     assert abs(got - full) < 1e-10
-    spectral = restricted_pguess(
-        EavesdropQuery(rho0, rho1, control=ControlSpec.rank_spectral(3)))
-    assert abs(spectral - full) < 1e-10
+    assert abs(subset_pguess(rho0, rho1, (0, 1, 2)) - full) < 1e-10
 
 
 def test_zero_control_is_pure_guessing():
     rng = np.random.default_rng(2)
     rho0, rho1 = random_density(4, rng), random_density(4, rng)
-    for control in (ControlSpec.rank_limited(0), ControlSpec.rank_spectral(0),
-                    ControlSpec.qubit_subset(())):
-        q = EavesdropQuery(rho0, rho1, control=control)
-        assert restricted_pguess(q, rng=rng) == 0.5
+    assert nested_control_pguess(rho0, rho1, (0,), rng) == {0: 0.5}
+    assert subset_pguess(rho0, rho1, ()) == 0.5
 
 
-def test_restricted_rejects_full_mode_and_oversized_rank():
+def test_nested_control_rejects_oversized_rank():
     rng = np.random.default_rng(3)
     rho0, rho1 = random_density(4, rng), random_density(4, rng)
     with pytest.raises(ValueError):
-        restricted_pguess(EavesdropQuery(rho0, rho1))
-    q = EavesdropQuery(rho0, rho1, control=ControlSpec.rank_limited(3))
+        nested_control_pguess(rho0, rho1, (1, 3), rng)
+
+
+def test_subset_rejects_bad_indices_and_layer_dimension():
+    rng = np.random.default_rng(3)
+    rho0, rho1 = random_density(4, rng), random_density(4, rng)
+    for subset in ((0, 0), (2,), (-1,)):
+        with pytest.raises(ValueError):
+            subset_pguess(rho0, rho1, subset)
     with pytest.raises(ValueError):
-        restricted_pguess(q, rng=rng)
-    with pytest.raises(ValueError):
-        restricted_pguess(EavesdropQuery(rho0, rho1,
-                                         control=ControlSpec.rank_limited(1)))
+        subset_pguess(np.eye(3) / 3, np.eye(3) / 3, (0,))
 
 
 def test_nested_control_monotone_per_draw():
@@ -162,36 +158,12 @@ def test_nested_control_monotone_per_draw():
         assert abs(values[-1] - full) < 1e-10
 
 
-def test_rank_spectral_monotone_and_pure_state_saturation():
-    rng = np.random.default_rng(5)
-    # pure-state pair: the weighted difference has rank 2, so any k >= 1
-    # spectral subspace already captures the whole trace norm
-    psi0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi0, psi1 = psi0 / np.linalg.norm(psi0), psi1 / np.linalg.norm(psi1)
-    full = helstrom_pguess(EavesdropQuery(dm(psi0), dm(psi1)))
-    for k in (1, 2, 3):
-        q = EavesdropQuery(dm(psi0), dm(psi1), control=ControlSpec.rank_spectral(k))
-        assert abs(restricted_pguess(q) - full) < 1e-10
-
-
 def test_qubit_subset_hand_case():
     # bit encoded in qubit 0 only: subset {0} is perfect, subset {1} is blind
     rho0 = dm(np.kron(KET0, KET0))
     rho1 = dm(np.kron(KET1, KET0))
-    q0 = EavesdropQuery(rho0, rho1, control=ControlSpec.qubit_subset((0,)))
-    q1 = EavesdropQuery(rho0, rho1, control=ControlSpec.qubit_subset((1,)))
-    assert abs(restricted_pguess(q0) - 1.0) < 1e-12
-    assert abs(restricted_pguess(q1) - 0.5) < 1e-12
-
-
-def test_control_spec_validation():
-    with pytest.raises(ValueError):
-        ControlSpec(mode="antenna")
-    with pytest.raises(ValueError):
-        ControlSpec(mode="qubit_subset", controlled_qubits=2, subset=(0,))
-    with pytest.raises(ValueError):
-        ControlSpec(mode="qubit_subset", controlled_qubits=2, subset=(0, 0))
+    assert abs(subset_pguess(rho0, rho1, (0,)) - 1.0) < 1e-12
+    assert abs(subset_pguess(rho0, rho1, (1,)) - 0.5) < 1e-12
 
 
 def test_subspace_pguess_checks_dimensions():
@@ -211,6 +183,7 @@ def test_mutual_information_endpoints():
 def test_key_rate_endpoints():
     assert key_rate(0.5) == 1.0
     assert key_rate(1.0) == 0.0
+    assert math.copysign(1.0, key_rate(1.0)) == 1.0  # +0.0, not -0.0
 
 
 def test_mutual_information_hand_value():
@@ -232,24 +205,6 @@ def test_information_measures_reject_out_of_range():
             mutual_information(bad)
         with pytest.raises(ValueError):
             key_rate(bad)
-
-
-def test_report_invariants():
-    report = EavesdropReport.from_pguess(0.75, ControlSpec.full())
-    assert abs(report.mutual_information + report.key_rate - 1.0) < 1e-12
-    assert EavesdropReport.from_pguess(0.5, ControlSpec.full()).key_rate == 1.0
-    assert EavesdropReport.from_pguess(1.0, ControlSpec.full()).key_rate == 0.0
-
-
-def test_evaluate_query_dispatch():
-    rng = np.random.default_rng(7)
-    rho0, rho1 = random_density(4, rng), random_density(4, rng)
-    full = evaluate_query(EavesdropQuery(rho0, rho1))
-    assert full.p_guess == helstrom_pguess(EavesdropQuery(rho0, rho1))
-    limited = evaluate_query(
-        EavesdropQuery(rho0, rho1, control=ControlSpec.rank_limited(1)),
-        rng=np.random.default_rng(8))
-    assert 0.5 - 1e-12 <= limited.p_guess <= full.p_guess + 1e-10
 
 
 # -------------------------------------------------------- closed forms

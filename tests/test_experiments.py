@@ -56,6 +56,7 @@ def test_resolve_config_fills_documented_defaults():
     cfg = resolve_config(SweepConfig(experiment="partial_control_table"))
     assert cfg.ne_grid == (3, 4, 5, 6, 7)
     assert cfg.eps_grid == (0.0,)
+    assert cfg.control_mode == "rank"
     layers = resolve_config(SweepConfig(experiment="layers_table"))
     assert layers.eve_layer == 1
     assert layers.nl_grid == (1, 2, 3)
@@ -96,6 +97,19 @@ def test_sweep_config_validation():
 def test_resolve_config_rejects_grids_the_experiment_holds_fixed(experiment, grids):
     with pytest.raises(ValueError):
         resolve_config(SweepConfig(experiment=experiment, **grids))
+
+
+@pytest.mark.parametrize("experiment, settings", [
+    ("decoherence_sweep", dict(eve_layer=1)),
+    ("conjecture_check", dict(eve_layer=1)),
+    ("layers_table", dict(control_mode="rank")),
+    ("pguess_vs_epsilon", dict(control_mode="subset")),
+    ("decoherence_sweep", dict(control_mode="rank")),
+    ("conjecture_check", dict(control_mode="rank")),
+])
+def test_resolve_config_rejects_settings_the_experiment_ignores(experiment, settings):
+    with pytest.raises(ValueError):
+        resolve_config(SweepConfig(experiment=experiment, **settings))
 
 
 def test_pool_size_is_bounded_by_points_and_cpus():

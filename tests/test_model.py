@@ -205,14 +205,6 @@ def test_haar_chain_links_unitary(seed):
         assert np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) < 1e-10
 
 
-def test_layer_wide_mode_has_no_per_qubit_factors():
-    spec = haar_spec(layer_wide_unitaries=True)
-    (link,) = build_interaction_chain(spec, np.random.default_rng(2))
-    assert link.factors is None
-    op = link.operator()
-    assert np.max(np.abs(op.conj().T @ op - np.eye(8))) < 1e-10
-
-
 # ------------------------------------------------------- run_exchange
 
 def test_full_damping_leaks_nothing_both_modes():
@@ -348,21 +340,15 @@ def test_gamma_rejects_mismatched_pointer_basis():
         decoherence_factor(spec, DecoherenceFactorParams(pointer_basis=HADAMARD))
 
 
-def test_gamma_rejects_layer_wide_mode():
-    spec = haar_spec(seed=3, layer_wide_unitaries=True)
-    with pytest.raises(ContractError):
-        decoherence_factor(spec, DecoherenceFactorParams(pointer_basis=COMPUTATIONAL))
-
-
 def test_gamma_params_validation():
     with pytest.raises(ValueError):
         DecoherenceFactorParams(pointer_basis=COMPUTATIONAL,
                                 intercepted_fraction=1.0)
     params = DecoherenceFactorParams(pointer_basis=COMPUTATIONAL,
-                                     subsystem_count=1,
                                      intercepted_fraction=0.5)
+    assert params.used_qubits(5) == 2  # floor(0.5 * 5)
     with pytest.raises(ValueError):
-        params.used_qubits(4)  # floor(0.5 * 1) = 0 monitored qubits
+        params.used_qubits(1)  # floor(0.5 * 1) = 0 monitored qubits
 
 
 @pytest.mark.parametrize("basis", [COMPUTATIONAL, HADAMARD])
