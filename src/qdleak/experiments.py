@@ -18,6 +18,7 @@ devices one point averages and the measurement taken on each device. The
 grids an experiment holds fixed must hold exactly one value.
 """
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -312,16 +313,21 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std(ddof=1))
 
 
+def _scenario(point, mode, basis, eve_layer, seed):
+    epsilon, alpha, n_layers, ne = point
+    return ScenarioSpec(
+        basis=basis, key_bit=0, n_layers=n_layers, qubits_per_layer=ne,
+        epsilon=epsilon, alpha=alpha, mode=mode, seed=seed, eve_layer=eve_layer)
+
+
 def _grid_point_job(config, point):
     """The rows of one grid point (epsilon, alpha, n_layers, ne)."""
     sweep = _SWEEPS[config.experiment]
-    epsilon, alpha, n_layers, ne = point
+    epsilon, alpha, _, ne = point
     samples = {}
     for rep, mode, basis, eve_layer in sweep.devices(config):
         seed = scenario_seed(config.base_seed, basis, mode, epsilon, alpha, ne, rep)
-        spec = ScenarioSpec(
-            basis=basis, key_bit=0, n_layers=n_layers, qubits_per_layer=ne,
-            epsilon=epsilon, alpha=alpha, mode=mode, seed=seed, eve_layer=eve_layer)
+        spec = _scenario(point, mode, basis, eve_layer, seed)
         for key, value in sweep.measure(config, spec).items():
             samples.setdefault(key, []).append(value)
 
@@ -347,17 +353,86 @@ def pool_size(jobs, n_points, cpu_count):
     return max(1, min(jobs, n_points, cpu_count or 1))
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _bundled_openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+    import glob
+
+    libs = sorted(glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+        "libscipy_openblas64_*.so")))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread while a sweep runs, then restore it.
+
+    The grid points are many small problems, so BLAS threads only compete
+    with each other and with the worker pool, which inherits the setting
+    when it forks. An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins,
+    and a numpy without the bundled library is left alone.
+    """
+    threads = None
+    if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+        threads = _bundled_openblas()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
+def _validate_points(config, points):
+    """Raise ValueError for a point no scenario accepts, before any runs.
+
+    Builds the spec (seed 0) of every point for each distinct kind of
+    device the sweep averages.
+    """
+    sweep = _SWEEPS[config.experiment]
+    kinds = {(mode, basis, eve_layer)
+             for _, mode, basis, eve_layer in sweep.devices(config)}
+    for point in points:
+        for mode, basis, eve_layer in kinds:
+            _scenario(point, mode, basis, eve_layer, seed=0)
+
+
 def run_experiment(config):
-    """Evaluate a sweep and return its rows, stably sorted."""
+    """Evaluate a sweep and return its rows, stably sorted.
+
+    Every grid point is validated before any is computed. Numpy's bundled
+    OpenBLAS runs one thread per process meanwhile, unless
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
+    """
     config = resolve_config(config)
     points = list(itertools.product(*(getattr(config, g) for g in _GRID_COLUMNS)))
+    _validate_points(config, points)
     bound = partial(_grid_point_job, config)
     workers = pool_size(config.jobs, len(points), os.cpu_count())
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(bound, points)
-    else:
-        chunks = [bound(p) for p in points]
+    with _one_blas_thread():
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
+                chunks = pool.map(bound, points)
+        else:
+            chunks = [bound(p) for p in points]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=ResultRow.sort_key)
     return rows

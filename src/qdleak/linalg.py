@@ -2,11 +2,14 @@
 
 Everything here works on plain numpy arrays (complex128). States and
 operators stay small by design — the largest object in scope is a vector of
-2**14 amplitudes — so all routines are dense and rely on numpy/LAPACK.
+2**14 amplitudes — so all routines are dense. Most rely on numpy/LAPACK; the
+2x2 QR, which every coupling draw calls several times, is closed-form,
+because numpy's per-call overhead dwarfs the arithmetic at that size.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
 """
 
+import math
 import string
 from dataclasses import dataclass
 
@@ -41,6 +44,11 @@ def check_dim(dim, max_dim=DIM_LIMIT):
 def kron(a, b, max_dim=DIM_LIMIT):
     """Kronecker product with a dimension-ceiling check.
 
+    Two matrices are multiplied by one broadcast product, the same
+    elementwise products np.kron forms, so the result is bit-identical to
+    np.kron's (signed zeros included) without its per-call overhead. Other
+    shapes go to np.kron.
+
     Parameters
     ----------
     a, b : (m, n) and (p, q) complex arrays.
@@ -51,7 +59,9 @@ def kron(a, b, max_dim=DIM_LIMIT):
     b = _as_complex(b)
     check_dim(a.shape[0] * b.shape[0], max_dim)
     if a.ndim == 2 and b.ndim == 2:
-        check_dim(a.shape[1] * b.shape[1], max_dim)
+        (m, n), (p, q) = a.shape, b.shape
+        check_dim(n * q, max_dim)
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
     return np.kron(a, b)
 
 
@@ -173,21 +183,50 @@ def orthonormalize_qr(m, rank_tol=1e-12):
     """Nearest-unitary factor from the QR decomposition m = Q R.
 
     The phase convention fixes every diagonal entry of R to be real and
-    positive, which makes the result unique and, applied to a complex
-    Gaussian matrix, Haar-distributed. Already-unitary input is returned
-    unchanged (R is then the identity).
+    positive (Mezzadri, Notices AMS 54, 2007), which makes the result unique
+    and, applied to a complex Gaussian matrix, Haar-distributed.
+    Already-unitary input is returned unchanged (R is then the identity).
+    A 2x2 input is factored in closed form; larger ones by LAPACK.
 
-    Raises DegeneracyError for numerically rank-deficient input.
+    Raises DegeneracyError for numerically rank-deficient input: smallest
+    singular value at most rank_tol.
     """
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
+    if m.shape == (2, 2):
+        return _orthonormalize_2x2(m, rank_tol)
     if np.linalg.svd(m, compute_uv=False)[-1] <= rank_tol:
         raise DegeneracyError("matrix is numerically rank-deficient")
     q, r = np.linalg.qr(m)
     d = np.diagonal(r)
     q = q * (d / np.abs(d)).conj()
     return q
+
+
+def _orthonormalize_2x2(m, rank_tol):
+    """Closed-form orthonormalize_qr of a 2x2 matrix.
+
+    The singular values follow from F = |m|_F**2 = s_max**2 + s_min**2 and
+    |det| = s_max * s_min: s_max**2 = (F + sqrt(F**2 - 4|det|**2)) / 2 and
+    s_min = |det| / s_max.
+    Q's first column is the normalised first column of m; its second is the
+    unit vector orthogonal to it, phased by det/|det| so that
+    R[1, 1] = |det| / |m[:, 0]| is real and positive.
+    """
+    (a00, a01), (a10, a11) = m.tolist()
+    det = a00 * a11 - a01 * a10
+    abs_det = abs(det)
+    col0 = abs(a00) ** 2 + abs(a10) ** 2
+    fro = col0 + abs(a01) ** 2 + abs(a11) ** 2
+    s_max = math.sqrt((fro + math.sqrt(max(fro * fro - 4.0 * abs_det * abs_det, 0.0))) / 2)
+    if not (s_max > 0.0 and abs_det / s_max > rank_tol):
+        raise DegeneracyError("matrix is numerically rank-deficient")
+    norm0 = math.sqrt(col0)
+    q00, q10 = a00 / norm0, a10 / norm0
+    phase = det / abs_det
+    return np.array([[q00, -phase * q10.conjugate()],
+                     [q10, phase * q00.conjugate()]])
 
 
 def haar_unitary(dim, rng, max_dim=DIM_LIMIT):

@@ -275,13 +275,26 @@ def build_initial_state(spec):
 
     computational: |b> (x) |0> (x) |0...0>; hadamard: the Hadamard frame of
     the same state, i.e. |+/-> (x) |+> (x) |+...+>.
+
+    The amplitude of |i>|0...0> is sys[i] * k0[0] * ... * k0[0], multiplied
+    left to right as the Kronecker chain sys (x) k0 (x) ... would. In the
+    computational basis every other amplitude is zero; in the hadamard basis
+    k0 = |+> has equal entries, so every amplitude whose first qubit is i
+    equals that of |i>|0...0>.
     """
     k0, k1 = basis_states(spec.basis)
     sys = k1 if spec.key_bit else k0
-    rest = k0
-    amp = sys
-    for _ in range(spec.n_qubits - 1):
-        amp = np.kron(amp, rest)
+    n = spec.n_qubits
+    heads = []
+    for head in sys:
+        for _ in range(n - 1):
+            head = head * k0[0]
+        heads.append(head)
+    if spec.basis == COMPUTATIONAL:
+        amp = np.zeros(2 ** n, dtype=complex)
+        amp[spec.key_bit << (n - 1)] = heads[spec.key_bit]
+    else:
+        amp = np.repeat(heads, 2 ** (n - 1))
     return StateVector(amp, spec.qubit_dims)
 
 

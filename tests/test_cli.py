@@ -86,6 +86,21 @@ def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["layers-table", "--ne-grid", "4", "--nl-grid", "1,2,3,4"],  # 2 + 4*4 > 14
+    ["pguess-vs-epsilon", "--ne-grid", "3,9"],                   # ne = 9 > 8
+])
+def test_bad_grid_point_rejected_before_any_point_runs(args, tmp_path, monkeypatch, capsys):
+    def no_exchange(spec):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(experiments, "run_exchange_pair", no_exchange)
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--reps", "30", "--jobs", "1", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_contract_violation_returns_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_and_write",
                         lambda cfg: (_ for _ in ()).throw(ContractError("boom")))

@@ -1,11 +1,14 @@
 """Sweep engine tests: seeding, determinism, schema, small-grid sanity."""
 
+import ctypes
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qdleak import experiments
 from qdleak.experiments import (
     CSV_HEADER,
     ResultRow,
@@ -118,6 +121,53 @@ def test_pool_size_is_bounded_by_points_and_cpus():
     assert pool_size(jobs=8, n_points=30, cpu_count=2) == 2
     assert pool_size(jobs=4, n_points=1, cpu_count=4) == 1
     assert pool_size(jobs=4, n_points=10, cpu_count=None) == 1
+
+
+# ------------------------------------------------------- BLAS threads
+# Only the thread-count setting is exercised: no thread or process starts.
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _clear_blas_vars(monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.mark.parametrize("var", BLAS_VARS)
+def test_blas_pin_leaves_an_explicit_thread_setting_alone(var, monkeypatch):
+    def no_lookup():
+        raise AssertionError("the OpenBLAS library was looked up")
+
+    _clear_blas_vars(monkeypatch)
+    monkeypatch.setenv(var, "3")
+    monkeypatch.setattr(experiments, "_bundled_openblas", no_lookup)
+    with experiments._one_blas_thread():
+        pass
+
+
+def test_blas_pin_is_a_no_op_without_the_thread_symbols(monkeypatch):
+    calls = []
+    partial_lib = types.SimpleNamespace(
+        scipy_openblas_get_num_threads64_=lambda: calls.append("get") or 4)
+    _clear_blas_vars(monkeypatch)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: partial_lib)
+    assert experiments._bundled_openblas() is None
+    with experiments._one_blas_thread():
+        pass
+    assert calls == []
+
+
+def test_blas_pin_sets_one_thread_and_restores_the_count(monkeypatch):
+    threads = experiments._bundled_openblas()
+    if threads is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    get_threads, _ = threads
+    _clear_blas_vars(monkeypatch)
+    before = get_threads()
+    with experiments._one_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == before
 
 
 # ------------------------------------------------------- small sweeps

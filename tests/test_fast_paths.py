@@ -1,0 +1,157 @@
+"""Differential tests of the fast paths against the numpy code they replace.
+
+`linalg.kron` on matrices must equal np.kron bit for bit; the closed-form
+2x2 `orthonormalize_qr` must match LAPACK's QR with the positive-diagonal
+phase fix and raise exactly where the SVD finds the input rank-deficient;
+`model.build_initial_state` must equal the Kronecker chain of its qubit
+states bit for bit. The references are written out here, not imported.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qdleak.errors import DegeneracyError
+from qdleak.linalg import kron, orthonormalize_qr
+from qdleak.model import BASES, ScenarioSpec, basis_states, build_initial_state, cx
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+# finite reals, with both signed zeros drawn often
+REALS = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def complex_matrices(draw, max_side=8):
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    parts = draw(st.lists(REALS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = np.empty((rows, cols), dtype=complex)
+    # set the parts directly: arithmetic would flip the signs of zeros
+    m.real = np.reshape(parts[::2], (rows, cols))
+    m.imag = np.reshape(parts[1::2], (rows, cols))
+    return m
+
+
+def reference_qr(m):
+    """LAPACK QR with every diagonal entry of R made real and positive."""
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d)).conj()
+
+
+def reference_haar(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return reference_qr(z / np.sqrt(2))
+
+
+def smallest_singular_value(m):
+    return np.linalg.svd(m, compute_uv=False)[-1]
+
+
+# ---------------------------------------------------------------- kron
+
+@PROPERTY
+@given(complex_matrices(), complex_matrices())
+def test_kron_is_bit_identical_to_numpy(a, b):
+    got = kron(a, b)
+    want = np.kron(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_kron_wide_operand_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((2, 128)) + 1j * rng.standard_normal((2, 128))
+    a[0, :8] = -0.0
+    b = np.array([[1, -0.0], [0.0, -1j]], dtype=complex)
+    for x, y in ((a, b), (b, a)):
+        assert np.array_equal(bits(kron(x, y)), bits(np.kron(x, y)))
+
+
+# ------------------------------------------------- 2x2 orthonormalize_qr
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_2x2_qr_matches_lapack_on_noisy_couplings(eps, seed):
+    m = eps * np.eye(2) + (1.0 - eps) * reference_haar(seed)
+    assume(smallest_singular_value(m) >= 1e-3)
+    assert np.max(np.abs(orthonormalize_qr(m) - reference_qr(m))) <= 1e-12
+
+
+@PROPERTY
+@given(st.lists(REALS, min_size=8, max_size=8))
+def test_2x2_qr_is_unitary_with_positive_real_r_diagonal(parts):
+    m = np.array(parts[::2]).reshape(2, 2) + 1j * np.array(parts[1::2]).reshape(2, 2)
+    scale = np.linalg.norm(m, 2)
+    # well conditioned and away from the rank threshold
+    assume(smallest_singular_value(m) >= max(1e-6 * scale, 1e-9))
+    q = orthonormalize_qr(m)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(2))) <= 1e-12
+    r = q.conj().T @ (m / scale)
+    assert abs(r[1, 0]) <= 1e-12
+    diag = np.diagonal(r)
+    assert np.all(diag.real > 0) and np.max(np.abs(diag.imag)) <= 1e-12
+
+
+def _raises_degeneracy(m):
+    try:
+        orthonormalize_qr(m)
+    except DegeneracyError:
+        return True
+    return False
+
+
+def test_2x2_qr_degeneracy_matches_svd_on_the_coupling_grid():
+    eps_grid = [round(0.1 * i, 1) for i in range(11)] + [0.5 - 1e-13, 0.5 + 1e-13]
+    for eps in eps_grid:
+        for alpha in (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
+            m = eps * np.eye(2) + (1 - eps) * cx(alpha)
+            assert _raises_degeneracy(m) == (smallest_singular_value(m) <= 1e-12), (eps, alpha)
+
+
+def test_2x2_qr_rejects_the_zero_matrix():
+    with pytest.raises(DegeneracyError):
+        orthonormalize_qr(np.zeros((2, 2)))
+
+
+@PROPERTY
+@given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=8, max_size=8))
+def test_2x2_qr_rejects_rank_one_outer_products(parts):
+    u = np.array(parts[0:2]) + 1j * np.array(parts[2:4])
+    v = np.array(parts[4:6]) + 1j * np.array(parts[6:8])
+    m = np.outer(u, v)
+    assert smallest_singular_value(m) <= 1e-12
+    assert _raises_degeneracy(m)
+
+
+# ---------------------------------------------------- build_initial_state
+
+def kron_chain_state(spec):
+    k0, k1 = basis_states(spec.basis)
+    amp = k1 if spec.key_bit else k0
+    for _ in range(spec.n_qubits - 1):
+        amp = np.kron(amp, k0)
+    return amp
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("key_bit", (0, 1))
+def test_initial_state_is_bit_identical_to_the_kron_chain(basis, key_bit):
+    for nl in range(1, 9):
+        for ne in range(1, 9):
+            if 2 + nl * ne > 14:
+                continue
+            spec = ScenarioSpec(basis=basis, key_bit=key_bit, n_layers=nl,
+                                qubits_per_layer=ne, epsilon=0.5)
+            got = build_initial_state(spec).amplitudes
+            assert np.array_equal(bits(got), bits(kron_chain_state(spec))), (nl, ne)
