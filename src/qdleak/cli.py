@@ -90,12 +90,14 @@ def parse_config_file(path):
     return values
 
 
-def _float_list(text):
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-
-
-def _int_list(text):
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+def _grid(name, text, convert):
+    """Comma list of `convert`ed values; () when not given, ValueError when empty."""
+    if text is None:
+        return ()
+    values = tuple(convert(tok) for tok in str(text).split(",") if tok.strip())
+    if not values:
+        raise ValueError(f"{name} is given but holds no value")
+    return values
 
 
 def _merged(args):
@@ -123,9 +125,9 @@ def _merged(args):
 
     return SweepConfig(
         experiment=_COMMANDS[args.command],
-        eps_grid=_float_list(eps_grid) if eps_grid is not None else (),
-        ne_grid=_int_list(ne_grid) if ne_grid is not None else (),
-        nl_grid=_int_list(nl_grid) if nl_grid is not None else (),
+        eps_grid=_grid("eps_grid", eps_grid, float),
+        ne_grid=_grid("ne_grid", ne_grid, int),
+        nl_grid=_grid("nl_grid", nl_grid, int),
         alpha_grid=(float(alpha),) if alpha is not None else (),
         repetitions=reps if reps is not None else DEFAULT_REPETITIONS,
         base_seed=seed if seed is not None else DEFAULT_BASE_SEED,
@@ -136,8 +138,50 @@ def _merged(args):
     )
 
 
+# glibc mallopt parameters, and the environment variables that set them
+_M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for its own dynamic threshold
+_TOP_PAD = 32 << 20
+_HEAP_VARS = ("GLIBC_TUNABLES", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_",
+              "MALLOC_TRIM_THRESHOLD_")
+
+
+def _libc_mallopt():
+    """glibc's mallopt(int, int) through ctypes, or None without it."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_heap():
+    """Keep freed heap memory mapped instead of returning it to the kernel.
+
+    A sweep allocates and frees many numpy temporaries of a few KiB to a few
+    MiB. By default glibc unmaps or trims such blocks as they are freed and
+    maps them in again on the next allocation, page fault by page fault.
+    A fixed mmap threshold and top pad keep them in the heap. The setting
+    lasts for the process (mallopt has no getter and freezes glibc's own
+    tuning), which is why the CLI, which owns its process, makes it; `--jobs`
+    workers inherit it. Any malloc tuning in the environment wins.
+    """
+    if any(var in os.environ for var in _HEAP_VARS):
+        return
+    mallopt = _libc_mallopt()
+    if mallopt is None:
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TOP_PAD, _TOP_PAD)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    _keep_freed_heap()
     try:
         config = _merged(args)
         rows, path = run_and_write(config)

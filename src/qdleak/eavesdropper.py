@@ -8,6 +8,13 @@ resolves (optimal measurement inside, fair coin outside;
 nested_control_pguess) or as access to a subset of the layer's qubits
 (subset_pguess).
 
+A reduced layer state of the simulation has rank at most the dimension of
+the rest of the system, often far below the layer's. When both states carry
+their Schmidt factors (DensityMatrix.factor) with fewer columns in total
+than the layer dimension, full and antenna access are discriminated in the
+span of the two states, on matrices of that column count; raw arrays,
+partial traces and factors that fill the layer take the dense route.
+
 The closed-form guessing probability and key rate for chains of single-qubit
 layers live here too, next to the variant diagnostics that pin down the
 self-consistent form of the key-rate formula.
@@ -50,9 +57,44 @@ class EavesdropQuery:
         return self.lam * _rho(self.rho0) - (1.0 - self.lam) * _rho(self.rho1)
 
 
+def _signed_factor(query):
+    """(B, J) with Delta = B diag(J) B^†, or None for the dense route.
+
+    Needs factors F0, F1 on both states (DensityMatrix.factor) with
+    r0 + r1 < dim columns; then B = [sqrt(lam) F0, sqrt(1-lam) F1] and J is
+    +1 on F0's columns and -1 on F1's.
+    """
+    f0 = getattr(query.rho0, "factor", None)
+    f1 = getattr(query.rho1, "factor", None)
+    if f0 is None or f1 is None or f0.shape[1] + f1.shape[1] >= query.dim:
+        return None
+    b = np.hstack((math.sqrt(query.lam) * f0, math.sqrt(1.0 - query.lam) * f1))
+    signs = np.concatenate((np.ones(f0.shape[1]), -np.ones(f1.shape[1])))
+    return b, signs
+
+
+def _signed_gram_norm(c, signs):
+    """||C diag(J) C^†||_1 through an r x r matrix when C has more rows than columns.
+
+    With C = Q R, C J C^† = Q (R J R^†) Q^† has the eigenvalues of R J R^†.
+    """
+    if c.shape[0] > c.shape[1]:
+        c = np.linalg.qr(c, mode="r")
+    return trace_norm((c * signs) @ c.conj().T)
+
+
 def helstrom_pguess(query):
-    """Optimal-measurement guessing probability with full layer access."""
-    return 0.5 + 0.5 * trace_norm(query.delta())
+    """Optimal-measurement guessing probability with full layer access.
+
+    When both states carry factors of r0 + r1 < dim columns (reduced pure
+    states do), ||Delta||_1 is taken in their span: Delta = B J B^† with
+    B = Q R gives the trace norm of the r x r matrix R J R^†. Otherwise
+    Delta is formed densely.
+    """
+    low_rank = _signed_factor(query)
+    if low_rank is None:
+        return 0.5 + 0.5 * trace_norm(query.delta())
+    return 0.5 + 0.5 * _signed_gram_norm(*low_rank)
 
 
 def subspace_pguess(query, isometry):
@@ -62,12 +104,23 @@ def subspace_pguess(query, isometry):
     accessible subspace. The optimal strategy measures the compression of
     the weighted difference inside the subspace and answers at random for
     outcomes outside it, giving 1/2 + 1/2 ||V^† Delta V||_1.
+
+    On the low-rank route of helstrom_pguess the compression is
+    C J C^† with C = V^† B, whose trace norm comes from C itself when the
+    subspace is no larger than the states' span, and from C's R factor
+    otherwise.
     """
     v = np.asarray(isometry, dtype=complex)
     if v.shape[0] != query.dim:
         raise ValueError("isometry row dimension must match the states")
-    compressed = v.conj().T @ query.delta() @ v
-    return 0.5 + 0.5 * trace_norm(compressed)
+    low_rank = _signed_factor(query)
+    if low_rank is None:
+        compressed = v.conj().T @ query.delta() @ v
+        return 0.5 + 0.5 * trace_norm(compressed)
+    b, signs = low_rank
+    # (B^† V)^† conjugates the small B instead of V
+    c = (b.conj().T @ v).conj().T
+    return 0.5 + 0.5 * _signed_gram_norm(c, signs)
 
 
 def subset_pguess(rho0, rho1, subset, lam=0.5):

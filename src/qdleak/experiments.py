@@ -134,6 +134,10 @@ class SweepConfig:
         # NaN fails both comparisons, so this also rejects non-finite values
         if not all(0.0 <= e <= 1.0 for e in self.eps_grid):
             raise ValueError(f"every epsilon must be finite and in [0, 1], got {self.eps_grid}")
+        for grid in _GRID_COLUMNS:
+            values = getattr(self, grid)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{grid} repeats a value: {values}")
 
 
 def _pguess(config, spec):

@@ -7,11 +7,16 @@ operators stay small by design — the largest object in scope is a vector of
 because numpy's per-call overhead dwarfs the arithmetic at that size.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
+
+A pure state's reduced DensityMatrix also keeps its Schmidt factor F
+(matrix = F F^†), the amplitudes reshaped to kept x traced subsystems, when
+F has fewer columns than rows: then its column count bounds the rank below
+the dimension, which the eavesdropper's discrimination uses.
 """
 
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,11 +117,11 @@ def partial_trace(rho, dims, keep):
     return np.einsum(spec, rho.reshape(dims + dims)).reshape(d, d)
 
 
-def reduced_density(amplitudes, dims, keep):
-    """Reduced density matrix of a pure state, without forming the full rho.
+def _schmidt_factor(amplitudes, dims, keep):
+    """(d, D/d) matrix F of a pure state whose reduced state over `keep` is F F^†.
 
-    Equivalent to partial_trace(outer(psi, psi*), dims, keep) but costs
-    O(D * d) instead of O(D**2).
+    Row i holds the amplitudes of kept basis state i against every basis
+    state of the rest, so F's column count bounds the reduced state's rank.
     """
     amp = _as_complex(amplitudes).reshape(-1)
     dims = list(dims)
@@ -128,8 +133,17 @@ def reduced_density(amplitudes, dims, keep):
     shaped = amp.reshape(dims)
     moved = np.moveaxis(shaped, keep, range(len(keep)))
     d = int(np.prod([dims[i] for i in keep]))
-    mat = moved.reshape(d, -1)
-    return mat @ mat.conj().T
+    return moved.reshape(d, -1)
+
+
+def reduced_density(amplitudes, dims, keep):
+    """Reduced density matrix of a pure state, without forming the full rho.
+
+    Equivalent to partial_trace(outer(psi, psi*), dims, keep) but costs
+    O(D * d) instead of O(D**2).
+    """
+    f = _schmidt_factor(amplitudes, dims, keep)
+    return f @ f.conj().T
 
 
 def apply_unitary(amplitudes, dims, op, targets):
@@ -293,18 +307,33 @@ class StateVector:
             apply_unitary(self.amplitudes, self.dims, op, targets), self.dims)
 
     def reduced(self, keep):
-        """Reduced DensityMatrix over the kept subsystems."""
+        """Reduced DensityMatrix over the kept subsystems.
+
+        It keeps its Schmidt factor when the kept dimension d exceeds the
+        traced one D/d, the only case where the factor bounds the rank below
+        d; a wider factor would be a copy of the whole state.
+        """
         keep = sorted(set(keep))
         mat = reduced_density(self.amplitudes, self.dims, keep)
-        return DensityMatrix(mat, tuple(self.dims[i] for i in keep))
+        factor = None
+        if mat.shape[0] ** 2 > self.amplitudes.size:
+            factor = _schmidt_factor(self.amplitudes, self.dims, keep)
+        return DensityMatrix(mat, tuple(self.dims[i] for i in keep), factor=factor)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density matrix plus the subsystem dimension list."""
+    """Density matrix plus the subsystem dimension list.
+
+    `factor`, when known, is a (dim, r) matrix with matrix = factor @
+    factor^†; r bounds the rank. StateVector.reduced keeps the Schmidt
+    factor here when r is below the dimension, so the discrimination can
+    work in the span of the states instead of the whole space.
+    """
 
     matrix: np.ndarray
     dims: tuple
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
@@ -314,6 +343,11 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
+        if self.factor is not None:
+            f = _as_complex(self.factor)
+            if f.ndim != 2 or f.shape[0] != d:
+                raise ValueError(f"factor shape {f.shape} does not match dimension {d}")
+            object.__setattr__(self, "factor", f)
 
     @property
     def dim(self):

@@ -1,4 +1,7 @@
-"""Command-line interface: flags, config files, exit codes."""
+"""Command-line interface: flags, config files, exit codes, heap policy."""
+
+import ctypes
+import types
 
 import pytest
 
@@ -74,6 +77,8 @@ def test_invalid_scenario_returns_2(tmp_path, capsys):
      "--control-mode", "subset"],
     ["layers-table", "--control-mode", "subset"],
     ["pguess-vs-epsilon", "--control-mode", "rank"],
+    # a grid that repeats a value would compute and write the point twice
+    ["layers-table", "--eps-grid", "0.5", "--nl-grid", "1,1"],
 ])
 def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
     def no_scenario(**kwargs):
@@ -162,3 +167,84 @@ def test_control_mode_flag(tmp_path):
                     "--out", str(out)])
     assert code == 0
     assert "k_out_of_range" in out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("args, conf", [
+    (["--eps-grid", ","], None),
+    (["--eps-grid", "0.5", "--ne-grid", ""], None),
+    (["--nl-grid", " , "], None),
+    ([], "eps_grid =\n"),
+])
+def test_empty_grid_exits_2(args, conf, tmp_path, monkeypatch, capsys):
+    def no_scenario(**kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(experiments, "ScenarioSpec", no_scenario)
+    if conf is not None:
+        (tmp_path / "sweep.conf").write_text(conf, encoding="utf-8")
+        args = args + ["--config", str(tmp_path / "sweep.conf")]
+    out = tmp_path / "x.csv"
+    code = run_cli(["conjecture-check", "--alpha", "0", "--jobs", "1",
+                    "--out", str(out)] + args)
+    assert code == 2
+    assert "holds no value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------------- heap policy
+# Only the mallopt calls are exercised: no thread or process starts.
+
+HEAP_VARS = ("GLIBC_TUNABLES", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_",
+             "MALLOC_TRIM_THRESHOLD_")
+M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3  # glibc's malloc.h
+
+
+def _clear_heap_vars(monkeypatch):
+    for var in HEAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+def test_heap_policy_sets_mmap_threshold_and_top_pad(tmp_path, monkeypatch):
+    calls = []
+    _clear_heap_vars(monkeypatch)
+    monkeypatch.setattr(cli, "_libc_mallopt",
+                        lambda: lambda param, value: calls.append((param, value)) or 1)
+    code = run_cli(["conjecture-check", "--eps-grid", "0.5", "--nl-grid", "1",
+                    "--alpha", "0", "--jobs", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == 0
+    settings = dict(calls)
+    assert len(calls) == len(settings) == 2
+    assert settings[M_MMAP_THRESHOLD] == 32 << 20
+    assert settings[M_TOP_PAD] == cli._TOP_PAD
+    assert 16 << 20 <= cli._TOP_PAD <= 64 << 20
+
+
+@pytest.mark.parametrize("var", HEAP_VARS)
+def test_heap_policy_leaves_explicit_malloc_tuning_alone(var, monkeypatch):
+    def no_lookup():
+        raise AssertionError("mallopt was looked up")
+
+    _clear_heap_vars(monkeypatch)
+    monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(cli, "_libc_mallopt", no_lookup)
+    cli._keep_freed_heap()
+
+
+@pytest.mark.parametrize("lib", [types.SimpleNamespace(), None])
+def test_heap_policy_is_a_no_op_without_mallopt(lib, monkeypatch):
+    def cdll(path):
+        if lib is None:
+            raise OSError("no C library")
+        return lib
+
+    _clear_heap_vars(monkeypatch)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._libc_mallopt() is None
+    cli._keep_freed_heap()
+
+
+def test_heap_policy_finds_the_real_mallopt():
+    mallopt = cli._libc_mallopt()
+    if mallopt is None:
+        pytest.skip("the C library has no mallopt")
+    assert mallopt(M_TOP_PAD, cli._TOP_PAD) == 1

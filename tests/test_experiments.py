@@ -84,6 +84,11 @@ def test_sweep_config_validation():
     for eps in (math.nan, math.inf, -0.1, 1.5):
         with pytest.raises(ValueError):
             SweepConfig(experiment="layers_table", eps_grid=(0.5, eps))
+    for grids in (dict(eps_grid=(0.5, 0.7, 0.5)), dict(eps_grid=(0.0, -0.0)),
+                  dict(ne_grid=(2, 2)), dict(nl_grid=(1, 2, 1)),
+                  dict(alpha_grid=(0.3, 0.3))):
+        with pytest.raises(ValueError, match="repeats"):
+            SweepConfig(experiment="layers_table", **grids)
 
 
 @pytest.mark.parametrize("experiment, grids", [

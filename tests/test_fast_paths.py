@@ -4,7 +4,9 @@
 2x2 `orthonormalize_qr` must match LAPACK's QR with the positive-diagonal
 phase fix and raise exactly where the SVD finds the input rank-deficient;
 `model.build_initial_state` must equal the Kronecker chain of its qubit
-states bit for bit. The references are written out here, not imported.
+states bit for bit; the low-rank discrimination through Schmidt factors
+must match the dense one on the bare matrices. The references are written
+out here, not imported.
 """
 
 import math
@@ -14,9 +16,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qdleak import eavesdropper
+from qdleak.eavesdropper import EavesdropQuery, helstrom_pguess, nested_control_pguess
 from qdleak.errors import DegeneracyError
-from qdleak.linalg import kron, orthonormalize_qr
-from qdleak.model import BASES, ScenarioSpec, basis_states, build_initial_state, cx
+from qdleak.linalg import DensityMatrix, kron, orthonormalize_qr
+from qdleak.model import (
+    BASES,
+    ScenarioSpec,
+    basis_states,
+    build_initial_state,
+    cx,
+    run_exchange_pair,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -155,3 +166,70 @@ def test_initial_state_is_bit_identical_to_the_kron_chain(basis, key_bit):
                                 qubits_per_layer=ne, epsilon=0.5)
             got = build_initial_state(spec).amplitudes
             assert np.array_equal(bits(got), bits(kron_chain_state(spec))), (nl, ne)
+
+
+# ------------------------------------------------ low-rank discrimination
+
+@st.composite
+def layer_state_pairs(draw):
+    """Eve's one-layer states for both key bits, as run_exchange_pair reduces them."""
+    spec = ScenarioSpec(
+        basis=draw(st.sampled_from(BASES)), key_bit=0, n_layers=1,
+        qubits_per_layer=draw(st.integers(1, 7)), epsilon=draw(st.floats(0.0, 1.0)),
+        alpha=draw(st.sampled_from([0.0, 0.3])), seed=draw(st.integers(0, 2 ** 32 - 1)))
+    out0, out1 = run_exchange_pair(spec)
+    return out0.rho_eve_layer, out1.rho_eve_layer
+
+
+def check_route(rho0, rho1):
+    # the rest of a one-layer chain is two qubits, so each factor has 4
+    # columns: the low-rank route is taken exactly when 4 + 4 < dim
+    low_rank = eavesdropper._signed_factor(EavesdropQuery(rho0, rho1))
+    assert (low_rank is not None) == (rho0.dim > 8)
+
+
+@PROPERTY
+@given(layer_state_pairs())
+def test_factor_reproduces_the_reduced_matrix_bit_for_bit(pair):
+    for rho in pair:
+        # kept only when the layer outweighs the 4-dimensional rest
+        assert (rho.factor is not None) == (rho.dim > 4)
+        if rho.factor is not None:
+            assert rho.factor.shape == (rho.dim, 4)
+            assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(rho.matrix))
+
+
+@PROPERTY
+@given(layer_state_pairs(), st.floats(0.0, 1.0))
+def test_low_rank_helstrom_matches_dense(pair, lam):
+    rho0, rho1 = pair
+    check_route(rho0, rho1)
+    got = helstrom_pguess(EavesdropQuery(rho0, rho1, lam=lam))
+    want = helstrom_pguess(EavesdropQuery(rho0.matrix, rho1.matrix, lam=lam))
+    assert abs(got - want) <= 1e-12
+    assert 0.5 <= got <= 1.0 + 1e-12
+
+
+@PROPERTY
+@given(layer_state_pairs(), st.integers(0, 2 ** 32 - 1))
+def test_low_rank_antennas_match_dense(pair, seed):
+    rho0, rho1 = pair
+    check_route(rho0, rho1)
+    ks = range(int(math.log2(rho0.dim)) + 1)
+    got = nested_control_pguess(rho0, rho1, ks, np.random.default_rng(seed))
+    want = nested_control_pguess(rho0.matrix, rho1.matrix, ks, np.random.default_rng(seed))
+    assert got.keys() == want.keys()
+    for k in ks:
+        assert abs(got[k] - want[k]) <= 1e-12, k
+        assert 0.5 <= got[k] <= 1.0 + 1e-12
+    # nested antennas: a larger subspace never loses trace norm
+    values = [got[k] for k in ks]
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_factor_with_the_wrong_row_count_is_rejected():
+    rho = np.eye(4) / 4
+    for factor in (np.ones((2, 4)), np.ones((8, 1)), np.ones(4)):
+        with pytest.raises(ValueError):
+            DensityMatrix(rho, (2, 2), factor=factor)
+    assert DensityMatrix(rho, (2, 2), factor=np.eye(4) / 2).factor.shape == (4, 4)
