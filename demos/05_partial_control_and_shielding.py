@@ -10,7 +10,6 @@ and her antenna help? (Yes, though with diminishing returns.)
 import numpy as np
 
 from qdleak import (
-    EavesdropQuery,
     ScenarioSpec,
     helstrom_pguess,
     nested_control_pguess,
@@ -57,8 +56,7 @@ def shielding(eps, layers, eve_layer):
                             qubits_per_layer=2, epsilon=eps, mode="haar",
                             seed=seed, eve_layer=eve_layer)
         out0, out1 = run_exchange_pair(spec)
-        values.append(helstrom_pguess(
-            EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer)))
+        values.append(helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer))
     return float(np.mean(values))
 
 

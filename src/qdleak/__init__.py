@@ -56,7 +56,6 @@ from .model import (
     run_exchange_pair,
 )
 from .eavesdropper import (
-    EavesdropQuery,
     analytic_key_rate,
     analytic_pguess,
     helstrom_pguess,

@@ -91,13 +91,16 @@ def parse_config_file(path):
 
 
 def _grid(name, text, convert):
-    """Comma list of `convert`ed values; () when not given, ValueError when empty."""
+    """Comma list of `convert`ed values; () when not given.
+
+    ValueError when any entry is blank: "", ",", "0.5,,0.7", "3,".
+    """
     if text is None:
         return ()
-    values = tuple(convert(tok) for tok in str(text).split(",") if tok.strip())
-    if not values:
-        raise ValueError(f"{name} is given but holds no value")
-    return values
+    tokens = str(text).split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"{name} {text!r} holds no value in one of its entries")
+    return tuple(convert(tok) for tok in tokens)
 
 
 def _merged(args):

@@ -1,9 +1,10 @@
 """Quantifying what the environment gives away about a key bit.
 
 The eavesdropper holds one environment layer in one of two states (one per
-key-bit value) and performs the optimal two-state discrimination. Full
-access gives the textbook bound p = 1/2 + 1/2 ||lam*rho0 - (1-lam)*rho1||_1;
-partial access is modeled either as a random rank-2^k subspace her antenna
+key-bit value) and performs the optimal two-state discrimination. BB84 key
+bits are uniform, so the prior is 1/2 and full access gives the
+equal-prior Helstrom bound p = 1/2 + 1/2 ||rho0/2 - rho1/2||_1; partial
+access is modeled either as a random rank-2^k subspace her antenna
 resolves (optimal measurement inside, fair coin outside;
 nested_control_pguess) or as access to a subset of the layer's qubits
 (subset_pguess).
@@ -21,7 +22,6 @@ self-consistent form of the key-rate formula.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,46 +29,26 @@ from .linalg import haar_unitary, partial_trace, trace_norm
 from .model import coupling_pq
 
 
-def _rho(x):
-    return np.asarray(getattr(x, "matrix", x), dtype=complex)
+def _states(rho0, rho1):
+    """The two states (DensityMatrix or array) as square arrays of equal dimension."""
+    r0, r1 = (np.asarray(getattr(x, "matrix", x), dtype=complex) for x in (rho0, rho1))
+    if r0.shape != r1.shape or r0.ndim != 2 or r0.shape[0] != r0.shape[1]:
+        raise ValueError("rho0 and rho1 must be square matrices of equal dimension")
+    return r0, r1
 
 
-@dataclass(frozen=True)
-class EavesdropQuery:
-    """A two-state discrimination problem: the states and the prior of rho0."""
-
-    rho0: object
-    rho1: object
-    lam: float = 0.5
-
-    def __post_init__(self):
-        r0, r1 = _rho(self.rho0), _rho(self.rho1)
-        if r0.shape != r1.shape or r0.ndim != 2 or r0.shape[0] != r0.shape[1]:
-            raise ValueError("rho0 and rho1 must be square matrices of equal dimension")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-
-    @property
-    def dim(self):
-        return _rho(self.rho0).shape[0]
-
-    def delta(self):
-        """Weighted difference lam*rho0 - (1-lam)*rho1."""
-        return self.lam * _rho(self.rho0) - (1.0 - self.lam) * _rho(self.rho1)
-
-
-def _signed_factor(query):
-    """(B, J) with Delta = B diag(J) B^†, or None for the dense route.
+def _signed_factor(rho0, rho1, dim):
+    """(B, J) with rho0/2 - rho1/2 = B diag(J) B^†, or None for the dense route.
 
     Needs factors F0, F1 on both states (DensityMatrix.factor) with
-    r0 + r1 < dim columns; then B = [sqrt(lam) F0, sqrt(1-lam) F1] and J is
-    +1 on F0's columns and -1 on F1's.
+    r0 + r1 < dim columns; then B = sqrt(1/2) [F0, F1] and J is +1 on F0's
+    columns and -1 on F1's.
     """
-    f0 = getattr(query.rho0, "factor", None)
-    f1 = getattr(query.rho1, "factor", None)
-    if f0 is None or f1 is None or f0.shape[1] + f1.shape[1] >= query.dim:
+    f0 = getattr(rho0, "factor", None)
+    f1 = getattr(rho1, "factor", None)
+    if f0 is None or f1 is None or f0.shape[1] + f1.shape[1] >= dim:
         return None
-    b = np.hstack((math.sqrt(query.lam) * f0, math.sqrt(1.0 - query.lam) * f1))
+    b = np.hstack((math.sqrt(0.5) * f0, math.sqrt(0.5) * f1))
     signs = np.concatenate((np.ones(f0.shape[1]), -np.ones(f1.shape[1])))
     return b, signs
 
@@ -83,26 +63,27 @@ def _signed_gram_norm(c, signs):
     return trace_norm((c * signs) @ c.conj().T)
 
 
-def helstrom_pguess(query):
+def helstrom_pguess(rho0, rho1):
     """Optimal-measurement guessing probability with full layer access.
 
     When both states carry factors of r0 + r1 < dim columns (reduced pure
-    states do), ||Delta||_1 is taken in their span: Delta = B J B^† with
-    B = Q R gives the trace norm of the r x r matrix R J R^†. Otherwise
-    Delta is formed densely.
+    states do), ||Delta||_1 of Delta = rho0/2 - rho1/2 is taken in their
+    span: Delta = B J B^† with B = Q R gives the trace norm of the r x r
+    matrix R J R^†. Otherwise Delta is formed densely.
     """
-    low_rank = _signed_factor(query)
+    r0, r1 = _states(rho0, rho1)
+    low_rank = _signed_factor(rho0, rho1, r0.shape[0])
     if low_rank is None:
-        return 0.5 + 0.5 * trace_norm(query.delta())
+        return 0.5 + 0.5 * trace_norm(0.5 * r0 - 0.5 * r1)
     return 0.5 + 0.5 * _signed_gram_norm(*low_rank)
 
 
-def subspace_pguess(query, isometry):
+def subspace_pguess(rho0, rho1, isometry):
     """Guessing probability when measurement is confined to a subspace.
 
     `isometry` is a (dim, r) matrix with orthonormal columns spanning the
     accessible subspace. The optimal strategy measures the compression of
-    the weighted difference inside the subspace and answers at random for
+    Delta = rho0/2 - rho1/2 inside the subspace and answers at random for
     outcomes outside it, giving 1/2 + 1/2 ||V^† Delta V||_1.
 
     On the low-rank route of helstrom_pguess the compression is
@@ -110,12 +91,13 @@ def subspace_pguess(query, isometry):
     subspace is no larger than the states' span, and from C's R factor
     otherwise.
     """
+    r0, r1 = _states(rho0, rho1)
     v = np.asarray(isometry, dtype=complex)
-    if v.shape[0] != query.dim:
+    if v.shape[0] != r0.shape[0]:
         raise ValueError("isometry row dimension must match the states")
-    low_rank = _signed_factor(query)
+    low_rank = _signed_factor(rho0, rho1, r0.shape[0])
     if low_rank is None:
-        compressed = v.conj().T @ query.delta() @ v
+        compressed = v.conj().T @ (0.5 * r0 - 0.5 * r1) @ v
         return 0.5 + 0.5 * trace_norm(compressed)
     b, signs = low_rank
     # (B^† V)^† conjugates the small B instead of V
@@ -123,17 +105,18 @@ def subspace_pguess(query, isometry):
     return 0.5 + 0.5 * _signed_gram_norm(c, signs)
 
 
-def subset_pguess(rho0, rho1, subset, lam=0.5):
+def subset_pguess(rho0, rho1, subset):
     """Guessing probability with access to only the listed qubits of a layer.
 
     Both states are traced down to the qubits in `subset` (indices into the
     layer, 0-based) before the optimal measurement; the empty subset gives
     exactly 1/2.
     """
-    query = EavesdropQuery(rho0, rho1, lam=lam)
-    n = int(round(math.log2(query.dim)))
-    if 2 ** n != query.dim:
-        raise ValueError(f"layer dimension {query.dim} is not a power of two")
+    r0, r1 = _states(rho0, rho1)
+    dim = r0.shape[0]
+    n = int(round(math.log2(dim)))
+    if 2 ** n != dim:
+        raise ValueError(f"layer dimension {dim} is not a power of two")
     subset = tuple(int(i) for i in subset)
     if len(set(subset)) != len(subset):
         raise ValueError(f"subset indices must be distinct, got {subset}")
@@ -142,12 +125,11 @@ def subset_pguess(rho0, rho1, subset, lam=0.5):
     if not subset:
         return 0.5
     dims = (2,) * n
-    reduced = EavesdropQuery(partial_trace(_rho(rho0), dims, subset),
-                             partial_trace(_rho(rho1), dims, subset), lam=lam)
-    return helstrom_pguess(reduced)
+    return helstrom_pguess(partial_trace(r0, dims, subset),
+                           partial_trace(r1, dims, subset))
 
 
-def nested_control_pguess(rho0, rho1, ks, rng, lam=0.5):
+def nested_control_pguess(rho0, rho1, ks, rng):
     """Guessing probabilities with a random rank-2^k antenna, for several k.
 
     The antenna resolves a Haar-random 2^k-dimensional subspace of the layer
@@ -156,15 +138,14 @@ def nested_control_pguess(rho0, rho1, ks, rng, lam=0.5):
     result is non-decreasing in k for the same draw (a compression to a
     smaller subspace can only lose trace norm). Returns {k: p_guess}.
     """
-    query = EavesdropQuery(rho0, rho1, lam=lam)
-    dim = query.dim
+    dim = _states(rho0, rho1)[0].shape[0]
     ks = sorted(set(int(k) for k in ks))
     if ks and 2 ** ks[-1] > dim:
         raise ValueError(f"rank 2^{ks[-1]} exceeds the layer dimension {dim}")
     u = haar_unitary(dim, rng)
     out = {}
     for k in ks:
-        out[k] = 0.5 if k == 0 else subspace_pguess(query, u[:, : 2 ** k])
+        out[k] = 0.5 if k == 0 else subspace_pguess(rho0, rho1, u[:, : 2 ** k])
     return out
 
 

@@ -31,7 +31,6 @@ from functools import cache, partial
 import numpy as np
 
 from .eavesdropper import (
-    EavesdropQuery,
     analytic_pguess,
     helstrom_pguess,
     key_rate,
@@ -142,7 +141,7 @@ class SweepConfig:
 
 def _pguess(config, spec):
     out0, out1 = run_exchange_pair(spec)
-    value = helstrom_pguess(EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer))
+    value = helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer)
     return {(spec.qubits_per_layer, "p_guess"): value}
 
 
@@ -463,8 +462,16 @@ def write_csv(rows, path):
 
 
 def run_and_write(config):
-    """Run a sweep and write its CSV; returns (rows, path)."""
-    rows = run_experiment(config)
+    """Run a sweep and write its CSV; returns (rows, path).
+
+    Raises ValueError before any point runs when the path is a directory or
+    names a directory that does not exist.
+    """
     path = config.output_path or f"{config.experiment}.csv"
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise ValueError(f"the directory of output path {path!r} does not exist")
+    rows = run_experiment(config)
     write_csv(rows, path)
     return rows, path

@@ -28,53 +28,51 @@ DIM_LIMIT = 2 ** 14
 
 HERMITIAN_ATOL = 1e-10
 
+# Smallest singular value below which orthonormalize_qr calls a matrix
+# rank-deficient.
+RANK_TOL = 1e-12
+
 
 def _as_complex(a):
     return np.asarray(a, dtype=complex)
 
 
-def is_hermitian(m, atol=HERMITIAN_ATOL):
+def is_hermitian(m):
     m = _as_complex(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and \
-        np.max(np.abs(m - m.conj().T)) <= atol
+        np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL
 
 
-def check_dim(dim, max_dim=DIM_LIMIT):
-    if dim > max_dim:
+def check_dim(dim):
+    if dim > DIM_LIMIT:
         raise DimensionLimitError(
-            f"requested dimension {dim} exceeds the configured maximum {max_dim}")
+            f"requested dimension {dim} exceeds the maximum {DIM_LIMIT}")
     return dim
 
 
-def kron(a, b, max_dim=DIM_LIMIT):
-    """Kronecker product with a dimension-ceiling check.
+def kron(a, b):
+    """Kronecker product of two matrices, at most DIM_LIMIT on each side.
 
-    Two matrices are multiplied by one broadcast product, the same
-    elementwise products np.kron forms, so the result is bit-identical to
-    np.kron's (signed zeros included) without its per-call overhead. Other
-    shapes go to np.kron.
-
-    Parameters
-    ----------
-    a, b : (m, n) and (p, q) complex arrays.
-    max_dim : int
-        Raise DimensionLimitError if m*p or n*q exceeds this.
+    One broadcast product forms the same elementwise products np.kron does,
+    so the result is bit-identical to np.kron's (signed zeros included)
+    without its per-call overhead. Raises ValueError unless both operands
+    are 2-D and DimensionLimitError past the ceiling.
     """
     a = _as_complex(a)
     b = _as_complex(b)
-    check_dim(a.shape[0] * b.shape[0], max_dim)
-    if a.ndim == 2 and b.ndim == 2:
-        (m, n), (p, q) = a.shape, b.shape
-        check_dim(n * q, max_dim)
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-    return np.kron(a, b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron expects two matrices, got {a.ndim}-D and {b.ndim}-D")
+    (m, n), (p, q) = a.shape, b.shape
+    check_dim(m * p)
+    check_dim(n * q)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def kron_all(mats, max_dim=DIM_LIMIT):
+def kron_all(mats):
     """Kronecker product of a sequence of matrices, left to right."""
     out = np.eye(1, dtype=complex)
     for m in mats:
-        out = kron(out, m, max_dim)
+        out = kron(out, m)
     return out
 
 
@@ -168,7 +166,7 @@ def apply_unitary(amplitudes, dims, op, targets):
     return out.reshape(-1)
 
 
-def herm_eig(h, atol=HERMITIAN_ATOL):
+def herm_eig(h):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns
@@ -178,22 +176,22 @@ def herm_eig(h, atol=HERMITIAN_ATOL):
         so that h == v @ diag(w) @ v.conj().T.
     """
     h = _as_complex(h)
-    if not is_hermitian(h, atol):
+    if not is_hermitian(h):
         raise ValueError("input is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
 
 
-def trace_norm(h, atol=HERMITIAN_ATOL):
+def trace_norm(h):
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
     h = _as_complex(h)
-    if not is_hermitian(h, atol):
+    if not is_hermitian(h):
         raise ValueError("trace_norm expects a Hermitian matrix")
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
-def orthonormalize_qr(m, rank_tol=1e-12):
+def orthonormalize_qr(m):
     """Nearest-unitary factor from the QR decomposition m = Q R.
 
     The phase convention fixes every diagonal entry of R to be real and
@@ -203,14 +201,14 @@ def orthonormalize_qr(m, rank_tol=1e-12):
     A 2x2 input is factored in closed form; larger ones by LAPACK.
 
     Raises DegeneracyError for numerically rank-deficient input: smallest
-    singular value at most rank_tol.
+    singular value at most RANK_TOL.
     """
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     if m.shape == (2, 2):
-        return _orthonormalize_2x2(m, rank_tol)
-    if np.linalg.svd(m, compute_uv=False)[-1] <= rank_tol:
+        return _orthonormalize_2x2(m)
+    if np.linalg.svd(m, compute_uv=False)[-1] <= RANK_TOL:
         raise DegeneracyError("matrix is numerically rank-deficient")
     q, r = np.linalg.qr(m)
     d = np.diagonal(r)
@@ -218,7 +216,7 @@ def orthonormalize_qr(m, rank_tol=1e-12):
     return q
 
 
-def _orthonormalize_2x2(m, rank_tol):
+def _orthonormalize_2x2(m):
     """Closed-form orthonormalize_qr of a 2x2 matrix.
 
     The singular values follow from F = |m|_F**2 = s_max**2 + s_min**2 and
@@ -234,7 +232,7 @@ def _orthonormalize_2x2(m, rank_tol):
     col0 = abs(a00) ** 2 + abs(a10) ** 2
     fro = col0 + abs(a01) ** 2 + abs(a11) ** 2
     s_max = math.sqrt((fro + math.sqrt(max(fro * fro - 4.0 * abs_det * abs_det, 0.0))) / 2)
-    if not (s_max > 0.0 and abs_det / s_max > rank_tol):
+    if not (s_max > 0.0 and abs_det / s_max > RANK_TOL):
         raise DegeneracyError("matrix is numerically rank-deficient")
     norm0 = math.sqrt(col0)
     q00, q10 = a00 / norm0, a10 / norm0
@@ -243,14 +241,14 @@ def _orthonormalize_2x2(m, rank_tol):
                      [q10, phase * q00.conjugate()]])
 
 
-def haar_unitary(dim, rng, max_dim=DIM_LIMIT):
+def haar_unitary(dim, rng):
     """Haar-distributed random unitary of the given dimension.
 
     Draws a complex Gaussian matrix and orthonormalizes it; the positive-
     diagonal-R phase fix in orthonormalize_qr is what makes the output
     distribution uniform rather than merely unitary.
     """
-    check_dim(dim, max_dim)
+    check_dim(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -353,13 +351,16 @@ class DensityMatrix:
     def dim(self):
         return self.matrix.shape[0]
 
-    def validate(self, herm_atol=1e-12, trace_atol=1e-10, psd_atol=1e-10):
-        """Check Hermiticity, unit trace and positivity; raise ValueError if off."""
+    def validate(self):
+        """Check Hermiticity (to 1e-12), unit trace and positivity (to 1e-10).
+
+        Raises ValueError if any is off; returns self otherwise.
+        """
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > herm_atol:
+        if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > trace_atol or abs(np.trace(m).imag) > trace_atol:
+        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise ValueError("density matrix trace is not 1 within tolerance")
-        if np.linalg.eigvalsh(m).min() < -psd_atol:
+        if np.linalg.eigvalsh(m).min() < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         return self

@@ -20,7 +20,7 @@ is a pure function of its spec.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,6 +147,8 @@ class ScenarioSpec:
             raise ValueError("total qubit count 2 + n_layers*qubits_per_layer exceeds 14")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == MODE_ANALYTIC and self.qubits_per_layer != 1:
@@ -181,12 +183,10 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ExchangeOutcome:
-    """Final pure state plus the reduced states the analysis consumes."""
+    """Final pure state plus the eavesdropper's reduced layer state."""
 
     global_state: StateVector
-    rho_apparatus: DensityMatrix
     rho_eve_layer: DensityMatrix
-    eve_layer_index: int
 
 
 @dataclass(frozen=True)
@@ -301,9 +301,8 @@ def build_initial_state(spec):
 def run_exchange(spec):
     """Premeasure, run the interaction chain, and reduce.
 
-    Returns the global pure state together with the apparatus state and the
-    state of the eavesdropper-accessible layer (spec.eve_layer, default
-    last). Analytic mode uses the ideal (alpha = 0) premeasurement so the
+    Returns the global pure state together with the state of the
+    eavesdropper-accessible layer (spec.resolved_eve_layer()). Analytic mode uses the ideal (alpha = 0) premeasurement so the
     chain rotation is the only alpha dependence; haar mode premeasures with
     cx/cz(spec.alpha).
     """
@@ -315,12 +314,9 @@ def run_exchange(spec):
         state = state.apply(link.operator(), link.source + link.target)
         if abs(state.norm() - 1.0) > 1e-9:
             raise ContractError("state norm drifted beyond 1e-9 after a link")
-    eve_layer = spec.resolved_eve_layer()
     return ExchangeOutcome(
         global_state=state,
-        rho_apparatus=state.reduced((1,)),
-        rho_eve_layer=state.reduced(spec.layer_qubits(eve_layer)),
-        eve_layer_index=eve_layer,
+        rho_eve_layer=state.reduced(spec.layer_qubits(spec.resolved_eve_layer())),
     )
 
 
@@ -371,7 +367,7 @@ def _check_rejected_setup(spec, params):
             "must equal the scenario's measurement basis")
 
 
-def decoherence_factor(spec, params, rng=None):
+def decoherence_factor(spec, params):
     """Residual coherence of a rejected round after the first-layer coupling.
 
     The system is prepared in the uniform superposition of the measurement
@@ -383,12 +379,10 @@ def decoherence_factor(spec, params, rng=None):
         sum_{i != j} |sigma_ij| * prod_k |gamma_ij_k|  =  prod_k |gamma_k|
 
     over the first floor((1-f)*M) qubits. 1 means no decoherence (epsilon=1),
-    0 full decoherence.
+    0 full decoherence. The chain is drawn from spec.seed.
     """
     _check_rejected_setup(spec, params)
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    link = build_interaction_chain(spec, rng)[0]
+    link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
     used = params.used_qubits(spec.qubits_per_layer)
     env0 = basis_states(spec.basis)[0]
     rho0 = np.outer(env0, env0.conj())
@@ -401,7 +395,7 @@ def decoherence_factor(spec, params, rng=None):
     return sigma_off * gamma_prod
 
 
-def decoherence_factor_from_state(spec, params, rng=None):
+def decoherence_factor_from_state(spec, params):
     """Same quantity, read off the simulated reduced state instead.
 
     Runs the rejected-round premeasurement plus only the first link, reduces
@@ -411,8 +405,6 @@ def decoherence_factor_from_state(spec, params, rng=None):
     in haar mode); a rotated premeasurement folds its own branch overlap in.
     """
     _check_rejected_setup(spec, params)
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     if params.used_qubits(spec.qubits_per_layer) != spec.qubits_per_layer:
         raise ValueError(
             "state-based evaluation traces the whole first layer; "
@@ -427,7 +419,7 @@ def decoherence_factor_from_state(spec, params, rng=None):
         amp = np.kron(amp, env0)
     state = StateVector(amp, spec.qubit_dims)
     state = state.apply(build_premeasurement(spec.basis, pm_alpha), (0, 1))
-    link = build_interaction_chain(spec, rng)[0]
+    link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
     state = state.apply(link.operator(), link.source + link.target)
 
     rho_sa = state.reduced((0, 1)).matrix

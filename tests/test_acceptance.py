@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qdleak.eavesdropper import (
-    EavesdropQuery,
     analytic_pguess,
     helstrom_pguess,
     key_rate,
@@ -59,8 +58,7 @@ def test_criterion_1_closed_form_matches_simulation():
                     qubits_per_layer=1, epsilon=eps, alpha=alpha,
                     mode="analytic", seed=0)
                 out0, out1 = run_exchange_pair(spec)
-                simulated = helstrom_pguess(
-                    EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer))
+                simulated = helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer)
                 worst = max(worst, abs(simulated - predicted))
                 points += 1
     elapsed = time.perf_counter() - start

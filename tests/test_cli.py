@@ -94,6 +94,9 @@ def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("args", [
     ["layers-table", "--ne-grid", "4", "--nl-grid", "1,2,3,4"],  # 2 + 4*4 > 14
     ["pguess-vs-epsilon", "--ne-grid", "3,9"],                   # ne = 9 > 8
+    ["pguess-vs-epsilon", "--alpha", "nan", "--eps-grid", "0.5", "--ne-grid", "3"],
+    ["conjecture-check", "--alpha", "nan", "--eps-grid", "0.5", "--nl-grid", "3"],
+    ["pguess-vs-epsilon", "--alpha", "inf", "--eps-grid", "0.5", "--ne-grid", "3"],
 ])
 def test_bad_grid_point_rejected_before_any_point_runs(args, tmp_path, monkeypatch, capsys):
     def no_exchange(spec):
@@ -104,6 +107,19 @@ def test_bad_grid_point_rejected_before_any_point_runs(args, tmp_path, monkeypat
     assert run_cli(args + ["--reps", "30", "--jobs", "1", "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_bad_output_path_rejected_before_any_point_runs(out, tmp_path, monkeypatch, capsys):
+    def no_exchange(spec):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(experiments, "run_exchange_pair", no_exchange)
+    args = ["pguess-vs-epsilon", "--eps-grid", "0.5", "--ne-grid", "3", "--reps", "30",
+            "--jobs", "1", "--out", str(tmp_path / out)]
+    assert run_cli(args) == 2
+    assert "output path" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_numerical_contract_violation_returns_3(monkeypatch, capsys):
@@ -174,6 +190,10 @@ def test_control_mode_flag(tmp_path):
     (["--eps-grid", "0.5", "--ne-grid", ""], None),
     (["--nl-grid", " , "], None),
     ([], "eps_grid =\n"),
+    # a blank entry inside a grid
+    (["--eps-grid", "0.5,,0.7"], None),
+    (["--nl-grid", "3,"], None),
+    (["--nl-grid", ",3"], None),
 ])
 def test_empty_grid_exits_2(args, conf, tmp_path, monkeypatch, capsys):
     def no_scenario(**kwargs):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qdleak.eavesdropper import (
-    EavesdropQuery,
     analytic_key_rate,
     analytic_pguess,
     helstrom_pguess,
@@ -52,25 +51,17 @@ def binary_entropy(p):
 def test_identical_states_are_coin_flips():
     rng = np.random.default_rng(0)
     rho = random_density(4, rng)
-    assert abs(helstrom_pguess(EavesdropQuery(rho, rho)) - 0.5) < 1e-12
+    assert abs(helstrom_pguess(rho, rho) - 0.5) < 1e-12
 
 
 def test_orthogonal_states_are_certain():
-    q = EavesdropQuery(dm(KET0), dm(KET1))
-    assert abs(helstrom_pguess(q) - 1.0) < 1e-12
+    assert abs(helstrom_pguess(dm(KET0), dm(KET1)) - 1.0) < 1e-12
 
 
 def test_zero_against_plus_hand_value():
     # eigenvalues of (|0><0| - |+><+|)/2 are +-1/(2 sqrt 2)
-    q = EavesdropQuery(dm(KET0), dm(PLUS))
     expected = 0.5 + 1.0 / (2.0 * math.sqrt(2.0))
-    assert abs(helstrom_pguess(q) - expected) < 1e-12
-
-
-def test_biased_prior_tilts_the_bound():
-    q = EavesdropQuery(dm(KET0), dm(KET0), lam=0.9)
-    # delta = 0.8|0><0|: always guess state 0, right with probability 0.9
-    assert abs(helstrom_pguess(q) - 0.9) < 1e-12
+    assert abs(helstrom_pguess(dm(KET0), dm(PLUS)) - expected) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -78,9 +69,8 @@ def test_helstrom_invariant_under_joint_conjugation(seed):
     rng = np.random.default_rng(100 + seed)
     rho0, rho1 = random_density(8, rng), random_density(8, rng)
     u = haar_unitary(8, rng)
-    a = helstrom_pguess(EavesdropQuery(rho0, rho1))
-    b = helstrom_pguess(EavesdropQuery(u @ rho0 @ u.conj().T,
-                                       u @ rho1 @ u.conj().T))
+    a = helstrom_pguess(rho0, rho1)
+    b = helstrom_pguess(u @ rho0 @ u.conj().T, u @ rho1 @ u.conj().T)
     assert abs(a - b) < 1e-9
 
 
@@ -90,9 +80,8 @@ def test_helstrom_beats_sampled_measurements(seed):
     # and the measurement along the difference eigenspaces attains it
     rng = np.random.default_rng(200 + seed)
     rho0, rho1 = random_density(4, rng, rank=2), random_density(4, rng)
-    query = EavesdropQuery(rho0, rho1)
-    bound = helstrom_pguess(query)
-    delta = query.delta()
+    bound = helstrom_pguess(rho0, rho1)
+    delta = 0.5 * rho0 - 0.5 * rho1
     for _ in range(200):
         v = haar_unitary(4, rng)
         m = v @ np.diag(rng.uniform(0, 1, size=4)) @ v.conj().T
@@ -104,10 +93,18 @@ def test_helstrom_beats_sampled_measurements(seed):
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        EavesdropQuery(np.eye(2) / 2, np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        EavesdropQuery(np.eye(2) / 2, np.eye(2) / 2, lam=1.2)
+    # every discrimination function checks for two square states of one dimension
+    rng = np.random.default_rng(7)
+    for rho0, rho1 in ((np.eye(2) / 2, np.eye(4) / 4), (np.ones((2, 4)), np.ones((2, 4))),
+                       (np.ones(4), np.ones(4))):
+        with pytest.raises(ValueError):
+            helstrom_pguess(rho0, rho1)
+        with pytest.raises(ValueError):
+            subspace_pguess(rho0, rho1, np.eye(2)[:, :1])
+        with pytest.raises(ValueError):
+            subset_pguess(rho0, rho1, (0,))
+        with pytest.raises(ValueError):
+            nested_control_pguess(rho0, rho1, (0,), rng)
 
 
 # ---------------------------------------------------- partial control
@@ -115,7 +112,7 @@ def test_query_validation():
 def test_full_rank_restriction_recovers_helstrom():
     rng = np.random.default_rng(1)
     rho0, rho1 = random_density(8, rng), random_density(8, rng)
-    full = helstrom_pguess(EavesdropQuery(rho0, rho1))
+    full = helstrom_pguess(rho0, rho1)
     got = nested_control_pguess(rho0, rho1, (3,), np.random.default_rng(5))[3]
     assert abs(got - full) < 1e-10
     assert abs(subset_pguess(rho0, rho1, (0, 1, 2)) - full) < 1e-10
@@ -154,7 +151,7 @@ def test_nested_control_monotone_per_draw():
         values = [per_k[k] for k in (0, 1, 2, 3)]
         assert values[0] == 0.5
         assert all(values[i] <= values[i + 1] + 1e-12 for i in range(3))
-        full = helstrom_pguess(EavesdropQuery(rho0, rho1))
+        full = helstrom_pguess(rho0, rho1)
         assert abs(values[-1] - full) < 1e-10
 
 
@@ -168,9 +165,9 @@ def test_qubit_subset_hand_case():
 
 def test_subspace_pguess_checks_dimensions():
     rng = np.random.default_rng(6)
-    q = EavesdropQuery(random_density(4, rng), random_density(4, rng))
+    rho0, rho1 = random_density(4, rng), random_density(4, rng)
     with pytest.raises(ValueError):
-        subspace_pguess(q, np.eye(8)[:, :2])
+        subspace_pguess(rho0, rho1, np.eye(8)[:, :2])
 
 
 # ---------------------------------------------- information measures
@@ -265,8 +262,7 @@ def test_analytic_matches_simulation(n, eps, alpha):
                         qubits_per_layer=1, epsilon=eps, alpha=alpha,
                         mode="analytic", seed=0)
     out0, out1 = run_exchange_pair(spec)
-    simulated = helstrom_pguess(
-        EavesdropQuery(out0.rho_eve_layer, out1.rho_eve_layer))
+    simulated = helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer)
     assert abs(simulated - predicted) < 1e-9
 
 

@@ -5,11 +5,13 @@
 phase fix and raise exactly where the SVD finds the input rank-deficient;
 `model.build_initial_state` must equal the Kronecker chain of its qubit
 states bit for bit; the low-rank discrimination through Schmidt factors
-must match the dense one on the bare matrices. The references are written
-out here, not imported.
+must match the dense one on the bare matrices; the Hadamard-basis scenario
+must be the Hadamard frame of the computational one, draw for draw. The
+references are written out here, not imported.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +19,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdleak import eavesdropper
-from qdleak.eavesdropper import EavesdropQuery, helstrom_pguess, nested_control_pguess
+from qdleak.eavesdropper import helstrom_pguess, nested_control_pguess
 from qdleak.errors import DegeneracyError
 from qdleak.linalg import DensityMatrix, kron, orthonormalize_qr
 from qdleak.model import (
     BASES,
+    COMPUTATIONAL,
+    HADAMARD,
+    HADAMARD_GATE,
     ScenarioSpec,
     basis_states,
     build_initial_state,
@@ -184,7 +189,7 @@ def layer_state_pairs(draw):
 def check_route(rho0, rho1):
     # the rest of a one-layer chain is two qubits, so each factor has 4
     # columns: the low-rank route is taken exactly when 4 + 4 < dim
-    low_rank = eavesdropper._signed_factor(EavesdropQuery(rho0, rho1))
+    low_rank = eavesdropper._signed_factor(rho0, rho1, rho0.dim)
     assert (low_rank is not None) == (rho0.dim > 8)
 
 
@@ -200,12 +205,12 @@ def test_factor_reproduces_the_reduced_matrix_bit_for_bit(pair):
 
 
 @PROPERTY
-@given(layer_state_pairs(), st.floats(0.0, 1.0))
-def test_low_rank_helstrom_matches_dense(pair, lam):
+@given(layer_state_pairs())
+def test_low_rank_helstrom_matches_dense(pair):
     rho0, rho1 = pair
     check_route(rho0, rho1)
-    got = helstrom_pguess(EavesdropQuery(rho0, rho1, lam=lam))
-    want = helstrom_pguess(EavesdropQuery(rho0.matrix, rho1.matrix, lam=lam))
+    got = helstrom_pguess(rho0, rho1)
+    want = helstrom_pguess(rho0.matrix, rho1.matrix)
     assert abs(got - want) <= 1e-12
     assert 0.5 <= got <= 1.0 + 1e-12
 
@@ -233,3 +238,26 @@ def test_factor_with_the_wrong_row_count_is_rejected():
         with pytest.raises(ValueError):
             DensityMatrix(rho, (2, 2), factor=factor)
     assert DensityMatrix(rho, (2, 2), factor=np.eye(4) / 2).factor.shape == (4, 4)
+
+
+# ------------------------------------------------------ basis equivalence
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 32 - 1))
+def test_bases_agree_draw_for_draw(ne, nl, eps, alpha, seed):
+    # 2 + nl * ne <= 14 on the whole range
+    spec = ScenarioSpec(basis=COMPUTATIONAL, key_bit=0, n_layers=nl, qubits_per_layer=ne,
+                        epsilon=eps, alpha=alpha, seed=seed)
+    comp = run_exchange_pair(spec)
+    had = run_exchange_pair(replace(spec, basis=HADAMARD))
+    h = np.eye(1)
+    for _ in range(ne):
+        h = np.kron(h, HADAMARD_GATE)
+    # the Hadamard scenario's layer states are the H-conjugates of the computational ones
+    for c, d in zip(comp, had):
+        want = h @ c.rho_eve_layer.matrix @ h
+        assert np.max(np.abs(d.rho_eve_layer.matrix - want)) <= 1e-12
+    p_comp = helstrom_pguess(comp[0].rho_eve_layer, comp[1].rho_eve_layer)
+    p_had = helstrom_pguess(had[0].rho_eve_layer, had[1].rho_eve_layer)
+    assert abs(p_comp - p_had) <= 1e-12

@@ -70,6 +70,12 @@ def test_kron_dimension_limit():
         kron(np.eye(2 ** 8), np.eye(2 ** 8))
 
 
+def test_kron_takes_matrices_only():
+    for a, b in ((KET0, I2), (I2, KET0), (np.ones((2, 2, 2)), I2)):
+        with pytest.raises(ValueError):
+            kron(a, b)
+
+
 # ------------------------------------------------------- partial trace
 
 def test_partial_trace_product_state():

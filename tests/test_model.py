@@ -250,10 +250,12 @@ def test_accepted_round_system_never_decoheres(basis, key_bit):
 def test_exchange_outcome_reduced_states_are_physical():
     spec = haar_spec(n_layers=3, qubits_per_layer=2, epsilon=0.2, seed=4)
     out = run_exchange(spec)
-    out.rho_apparatus.validate()
+    out.global_state.reduced((1,)).validate()
     out.rho_eve_layer.validate()
     assert out.rho_eve_layer.dim == 4
-    assert out.eve_layer_index == 3
+    # the default eavesdropper reads the last layer
+    want = out.global_state.reduced(spec.layer_qubits(3)).matrix
+    assert np.array_equal(out.rho_eve_layer.matrix, want)
     assert abs(out.global_state.norm() - 1.0) < 1e-9
 
 
@@ -261,7 +263,8 @@ def test_eve_layer_override():
     spec = haar_spec(n_layers=3, qubits_per_layer=2, epsilon=0.2, seed=4,
                      eve_layer=1)
     out = run_exchange(spec)
-    assert out.eve_layer_index == 1
+    want = out.global_state.reduced(spec.layer_qubits(1)).matrix
+    assert np.array_equal(out.rho_eve_layer.matrix, want)
     with pytest.raises(ValueError):
         haar_spec(n_layers=2, eve_layer=3)
 
@@ -301,6 +304,9 @@ def test_scenario_validation():
         haar_spec(basis="diagonal")
     with pytest.raises(ValueError):
         haar_spec(key_bit=2)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            haar_spec(alpha=alpha)
 
 
 # ------------------------------------------------- decoherence factor
