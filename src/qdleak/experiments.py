@@ -464,10 +464,15 @@ def write_csv(rows, path):
 def run_and_write(config):
     """Run a sweep and write its CSV; returns (rows, path).
 
-    Raises ValueError before any point runs when the path is a directory or
-    names a directory that does not exist.
+    Raises ValueError before any point runs when the path is empty, is a
+    directory or names a directory that does not exist. Only a path of None
+    means the default `<experiment>.csv`.
     """
-    path = config.output_path or f"{config.experiment}.csv"
+    path = config.output_path
+    if path is None:
+        path = f"{config.experiment}.csv"
+    elif not path:
+        raise ValueError("output path is empty")
     if os.path.isdir(path):
         raise ValueError(f"output path {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or os.curdir):

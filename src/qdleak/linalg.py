@@ -5,6 +5,9 @@ operators stay small by design — the largest object in scope is a vector of
 2**14 amplitudes — so all routines are dense. Most rely on numpy/LAPACK; the
 2x2 QR, which every coupling draw calls several times, is closed-form,
 because numpy's per-call overhead dwarfs the arithmetic at that size.
+Larger QRs test their rank on the R they compute, with no separate SVD, and
+an operator on an adjacent run of subsystems is one matrix product, with no
+axis permutation of the state.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
 
@@ -28,8 +31,9 @@ DIM_LIMIT = 2 ** 14
 
 HERMITIAN_ATOL = 1e-10
 
-# Smallest singular value below which orthonormalize_qr calls a matrix
-# rank-deficient.
+# Rank threshold of orthonormalize_qr: it calls a matrix rank-deficient when
+# the smallest singular value (2x2) or some |R_ii| of its QR (larger) is at
+# most this.
 RANK_TOL = 1e-12
 
 
@@ -149,14 +153,27 @@ def apply_unitary(amplitudes, dims, op, targets):
 
     `op` must be square with dimension prod(dims[i] for i in targets); its
     row/column ordering follows the order in which `targets` are listed.
+
+    When the targets are an ascending run t0..t0+k-1, the amplitudes are a
+    (left, d_t, right) array and the operator is one matrix product on its
+    (d_t, left*right) transpose, a view when left is 1 and one C-contiguous
+    copy otherwise. That is the matrix the general route (move the targets
+    to the front, then flatten) builds, so both give the same bits. Any
+    other target order takes the general route.
     """
     amp = _as_complex(amplitudes).reshape(-1)
     dims = list(dims)
     targets = list(targets)
-    d_t = int(np.prod([dims[i] for i in targets]))
+    d_t = math.prod(dims[i] for i in targets)
     op = _as_complex(op)
     if op.shape != (d_t, d_t):
         raise ValueError(f"operator shape {op.shape} does not match targets {targets}")
+    t0 = targets[0] if targets else 0
+    if t0 >= 0 and targets == list(range(t0, t0 + len(targets))):
+        left = math.prod(dims[:t0])
+        right = math.prod(dims[t0 + len(targets):])
+        mat = amp.reshape(left, d_t, right).transpose(1, 0, 2).reshape(d_t, left * right)
+        return (op @ mat).reshape(d_t, left, right).transpose(1, 0, 2).reshape(-1)
     shaped = amp.reshape(dims)
     moved = np.moveaxis(shaped, targets, range(len(targets)))
     rest_shape = moved.shape[len(targets):]
@@ -200,20 +217,26 @@ def orthonormalize_qr(m):
     Already-unitary input is returned unchanged (R is then the identity).
     A 2x2 input is factored in closed form; larger ones by LAPACK.
 
-    Raises DegeneracyError for numerically rank-deficient input: smallest
-    singular value at most RANK_TOL.
+    Raises DegeneracyError for numerically rank-deficient input. A 2x2
+    input is tested exactly: smallest singular value at most RANK_TOL.
+    A larger one is tested on R's diagonal, which its QR computes anyway:
+    some |R_ii| at most RANK_TOL, or not a number. Since the smallest
+    singular value is at most min |R_ii|, every such raise is a true rank
+    deficiency; a matrix whose smallest singular value is at most RANK_TOL
+    while every |R_ii| stays above it is factored, not rejected.
     """
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     if m.shape == (2, 2):
         return _orthonormalize_2x2(m)
-    if np.linalg.svd(m, compute_uv=False)[-1] <= RANK_TOL:
-        raise DegeneracyError("matrix is numerically rank-deficient")
     q, r = np.linalg.qr(m)
     d = np.diagonal(r)
-    q = q * (d / np.abs(d)).conj()
-    return q
+    abs_d = np.abs(d)
+    # NaN fails the comparison, so NaN input raises too
+    if not (abs_d.min() > RANK_TOL):
+        raise DegeneracyError("matrix is numerically rank-deficient")
+    return q * (d / abs_d).conj()
 
 
 def _orthonormalize_2x2(m):
@@ -290,7 +313,7 @@ class StateVector:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in dims):
             raise ValueError("subsystem dimensions must be positive")
-        if amp.size != int(np.prod(dims)):
+        if amp.size != math.prod(dims):
             raise ValueError(
                 f"{amp.size} amplitudes do not match dims {dims}")
         object.__setattr__(self, "amplitudes", amp)

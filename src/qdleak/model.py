@@ -208,7 +208,9 @@ class ChainLink:
     def operator(self):
         p0, p1 = self.projectors
         u0, u1 = self.conditionals
-        return kron(p0, u0) + kron(p1, u1)
+        op = kron(p0, u0)
+        op += kron(p1, u1)
+        return op
 
 
 def _conjugate_all(mat, n_qubits):
@@ -266,7 +268,7 @@ def build_interaction_chain(spec, rng):
         factors = (tuple([np.eye(2, dtype=complex)] * ne), tuple(factors1))
         links.append(ChainLink(
             source=source, target=target, projectors=(p0, p1),
-            conditionals=(ident.copy(), u1), factors=factors))
+            conditionals=(ident, u1), factors=factors))
     return links
 
 

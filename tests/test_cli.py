@@ -122,6 +122,23 @@ def test_bad_output_path_rejected_before_any_point_runs(out, tmp_path, monkeypat
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("out_flag, conf", [(["--out", ""], None), ([], "out =\n")])
+def test_empty_output_path_exits_2(out_flag, conf, tmp_path, monkeypatch, capsys):
+    def no_exchange(spec):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(experiments, "run_exchange_pair", no_exchange)
+    monkeypatch.chdir(tmp_path)
+    args = ["layers-table", "--reps", "1", "--eps-grid", "0.5", "--nl-grid", "1",
+            "--jobs", "1"] + out_flag
+    if conf is not None:
+        (tmp_path / "sweep.conf").write_text(conf, encoding="utf-8")
+        args += ["--config", "sweep.conf"]
+    assert run_cli(args) == 2
+    assert "output path is empty" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_numerical_contract_violation_returns_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_and_write",
                         lambda cfg: (_ for _ in ()).throw(ContractError("boom")))

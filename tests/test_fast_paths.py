@@ -3,6 +3,10 @@
 `linalg.kron` on matrices must equal np.kron bit for bit; the closed-form
 2x2 `orthonormalize_qr` must match LAPACK's QR with the positive-diagonal
 phase fix and raise exactly where the SVD finds the input rank-deficient;
+the larger `orthonormalize_qr`, which tests rank on R's diagonal, must equal
+that QR bit for bit and still reject rank-deficient and NaN input;
+`apply_unitary` on an ascending run of subsystems must equal the
+move-targets-to-the-front route bit for bit;
 `model.build_initial_state` must equal the Kronecker chain of its qubit
 states bit for bit; the low-rank discrimination through Schmidt factors
 must match the dense one on the bare matrices; the Hadamard-basis scenario
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 from qdleak import eavesdropper
 from qdleak.eavesdropper import helstrom_pguess, nested_control_pguess
 from qdleak.errors import DegeneracyError
-from qdleak.linalg import DensityMatrix, kron, orthonormalize_qr
+from qdleak.linalg import DensityMatrix, apply_unitary, kron, orthonormalize_qr
 from qdleak.model import (
     BASES,
     COMPUTATIONAL,
@@ -148,6 +152,69 @@ def test_2x2_qr_rejects_rank_one_outer_products(parts):
     m = np.outer(u, v)
     assert smallest_singular_value(m) <= 1e-12
     assert _raises_degeneracy(m)
+
+
+# -------------------------------------------- n x n orthonormalize_qr
+
+@PROPERTY
+@given(st.integers(3, 16), st.integers(0, 2 ** 32 - 1))
+def test_qr_is_bit_identical_to_lapack_on_gaussian_input(n, seed):
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    assert np.array_equal(bits(orthonormalize_qr(m)), bits(reference_qr(m)))
+
+
+def _degenerate_matrices(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    zero_column = m.copy()
+    zero_column[:, 1] = 0.0
+    repeated_column = m.copy()
+    repeated_column[:, -1] = m[:, 0]
+    nan_entry = m.copy()
+    nan_entry[n // 2, n // 2] = np.nan
+    return {"zero column": zero_column, "repeated column": repeated_column,
+            "rank one": np.outer(m[:, 0], m[0]), "nan entry": nan_entry}
+
+
+@pytest.mark.parametrize("n", (4, 8))
+@pytest.mark.parametrize("kind", ("zero column", "repeated column", "rank one", "nan entry"))
+def test_qr_rejects_rank_deficient_and_nan_input(n, kind):
+    with pytest.raises(DegeneracyError):
+        orthonormalize_qr(_degenerate_matrices(n)[kind])
+
+
+# --------------------------------------------------------- apply_unitary
+
+def reference_apply(amplitudes, dims, op, targets):
+    """Move the targets to the front, multiply, move them back."""
+    d_t = int(np.prod([dims[i] for i in targets]))
+    moved = np.moveaxis(amplitudes.reshape(dims), targets, range(len(targets)))
+    rest_shape = moved.shape[len(targets):]
+    mat = op @ moved.reshape(d_t, -1)
+    out = mat.reshape([dims[i] for i in targets] + list(rest_shape))
+    return np.moveaxis(out, range(len(targets)), targets).reshape(-1)
+
+
+@st.composite
+def qubit_runs(draw):
+    n = draw(st.integers(1, 10))
+    start = draw(st.integers(0, n - 1))
+    length = draw(st.integers(1, n - start))
+    return n, list(range(start, start + length))
+
+
+@PROPERTY
+@given(qubit_runs(), st.integers(0, 2 ** 32 - 1))
+def test_apply_unitary_on_a_run_is_bit_identical_to_moving_axes(run, seed):
+    n, targets = run
+    dims = [2] * n
+    d_t = 2 ** len(targets)
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    op = rng.standard_normal((d_t, d_t)) + 1j * rng.standard_normal((d_t, d_t))
+    got = apply_unitary(amp, dims, op, targets)
+    assert np.array_equal(bits(got), bits(reference_apply(amp, dims, op, targets)))
 
 
 # ---------------------------------------------------- build_initial_state
