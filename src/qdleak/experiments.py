@@ -441,13 +441,17 @@ def run_experiment(config):
     return rows
 
 
+def _temp_path(path):
+    return f"{path}.{os.getpid()}.tmp"
+
+
 def write_csv(rows, path):
     """Write rows with the fixed schema: UTF-8, LF endings, '.' decimals.
 
     The rows go to a temporary file next to `path` that then replaces it, so
     a failed write leaves any earlier file at `path` untouched.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = _temp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -465,8 +469,10 @@ def run_and_write(config):
     """Run a sweep and write its CSV; returns (rows, path).
 
     Raises ValueError before any point runs when the path is empty, is a
-    directory or names a directory that does not exist. Only a path of None
-    means the default `<experiment>.csv`.
+    directory or names a directory that does not exist, and OSError when
+    write_csv's temporary file cannot be created next to it (the probe
+    creates and removes it). Only a path of None means the default
+    `<experiment>.csv`.
     """
     path = config.output_path
     if path is None:
@@ -477,6 +483,10 @@ def run_and_write(config):
         raise ValueError(f"output path {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or os.curdir):
         raise ValueError(f"the directory of output path {path!r} does not exist")
+    probe = _temp_path(path)
+    with open(probe, "w", encoding="utf-8"):
+        pass
+    os.unlink(probe)
     rows = run_experiment(config)
     write_csv(rows, path)
     return rows, path

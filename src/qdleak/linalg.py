@@ -2,12 +2,15 @@
 
 Everything here works on plain numpy arrays (complex128). States and
 operators stay small by design — the largest object in scope is a vector of
-2**14 amplitudes — so all routines are dense. Most rely on numpy/LAPACK; the
-2x2 QR, which every coupling draw calls several times, is closed-form,
-because numpy's per-call overhead dwarfs the arithmetic at that size.
-Larger QRs test their rank on the R they compute, with no separate SVD, and
-an operator on an adjacent run of subsystems is one matrix product, with no
-axis permutation of the state.
+2**14 amplitudes — so all routines are dense. Most rely on numpy/LAPACK.
+The 2x2 work that every coupled qubit repeats runs at scalar cost, because
+numpy's per-call overhead dwarfs the arithmetic at that size: the 2x2 QR is
+closed-form, and the 2x2 Haar draw forms its entries from one call's normals
+in scalar arithmetic that reproduces numpy's complex rules bit for bit.
+kron fills a large-times-small product by strided multiplies, which keeps
+it bit-identical to np.kron. Larger QRs test their rank on the R they
+compute, with no separate SVD, and an operator on an adjacent run of
+subsystems is one matrix product, with no axis permutation of the state.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
 
@@ -36,6 +39,21 @@ HERMITIAN_ATOL = 1e-10
 # most this.
 RANK_TOL = 1e-12
 
+# kron's strided route: a right operand of at most this many entries and a
+# left one of at least this many, where one multiply per right entry costs
+# less than a broadcast whose innermost loop is only the right operand's
+# row (measured on 2..128-sided left operands)
+_STRIDED_MAX_RIGHT = 4
+_STRIDED_MIN_LEFT = 1024
+
+# seed of kron_all; read-only because an empty product returns it
+_ONE = np.ones((1, 1), dtype=complex)
+_ONE.flags.writeable = False
+
+# 1 / sqrt(2) as numpy's complex division by sqrt(2) forms it: its scale is
+# 1 / (sqrt(2) + 0 * 0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
 
 def _as_complex(a):
     return np.asarray(a, dtype=complex)
@@ -57,10 +75,15 @@ def check_dim(dim):
 def kron(a, b):
     """Kronecker product of two matrices, at most DIM_LIMIT on each side.
 
-    One broadcast product forms the same elementwise products np.kron does,
-    so the result is bit-identical to np.kron's (signed zeros included)
-    without its per-call overhead. Raises ValueError unless both operands
-    are 2-D and DimensionLimitError past the ceiling.
+    Each output entry is the product a[i, j] * b[k, l], the one np.kron
+    forms, so the result is bit-identical to np.kron's (signed zeros
+    included) without its per-call overhead. One broadcast product forms
+    them (with no reshaping when an operand is 1x1), except for a large left
+    operand and a small right one, where the broadcast's innermost loop
+    would run over one row of the right operand: there one strided multiply
+    of the left operand per entry of the right one fills the output. Raises
+    ValueError unless both operands are 2-D and DimensionLimitError past the
+    ceiling.
     """
     a = _as_complex(a)
     b = _as_complex(b)
@@ -69,12 +92,21 @@ def kron(a, b):
     (m, n), (p, q) = a.shape, b.shape
     check_dim(m * p)
     check_dim(n * q)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    if a.size == 1 or b.size == 1:
+        # a 1x1 operand broadcasts to the output shape as it is
+        return a * b
+    if b.size > _STRIDED_MAX_RIGHT or a.size < _STRIDED_MIN_LEFT:
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    out = np.empty((m, p, n, q), dtype=complex)
+    for k, row in enumerate(b.tolist()):
+        for l, y in enumerate(row):
+            np.multiply(a, y, out=out[:, k, :, l])
+    return out.reshape(m * p, n * q)
 
 
 def kron_all(mats):
     """Kronecker product of a sequence of matrices, left to right."""
-    out = np.eye(1, dtype=complex)
+    out = _ONE
     for m in mats:
         out = kron(out, m)
     return out
@@ -138,13 +170,15 @@ def _schmidt_factor(amplitudes, dims, keep):
     return moved.reshape(d, -1)
 
 
-def reduced_density(amplitudes, dims, keep):
+def reduced_density(amplitudes, dims, keep, *, factor=None):
     """Reduced density matrix of a pure state, without forming the full rho.
 
     Equivalent to partial_trace(outer(psi, psi*), dims, keep) but costs
-    O(D * d) instead of O(D**2).
+    O(D * d) instead of O(D**2). A caller that already holds the state's
+    Schmidt factor over `keep` passes it as `factor`, and it is used instead
+    of being formed again.
     """
-    f = _schmidt_factor(amplitudes, dims, keep)
+    f = _schmidt_factor(amplitudes, dims, keep) if factor is None else factor
     return f @ f.conj().T
 
 
@@ -219,8 +253,9 @@ def orthonormalize_qr(m):
 
     Raises DegeneracyError for numerically rank-deficient input. A 2x2
     input is tested exactly: smallest singular value at most RANK_TOL.
-    A larger one is tested on R's diagonal, which its QR computes anyway:
-    some |R_ii| at most RANK_TOL, or not a number. Since the smallest
+    A larger one raises for any NaN or infinite entry, and is otherwise
+    tested on R's diagonal, which its QR computes anyway: some |R_ii| at
+    most RANK_TOL. Since the smallest
     singular value is at most min |R_ii|, every such raise is a true rank
     deficiency; a matrix whose smallest singular value is at most RANK_TOL
     while every |R_ii| stays above it is factored, not rejected.
@@ -230,10 +265,12 @@ def orthonormalize_qr(m):
         raise ValueError("expected a square matrix")
     if m.shape == (2, 2):
         return _orthonormalize_2x2(m)
+    # LAPACK can return a finite Q for input holding an inf
+    if not np.isfinite(m).all():
+        raise DegeneracyError("matrix has a non-finite entry")
     q, r = np.linalg.qr(m)
     d = np.diagonal(r)
     abs_d = np.abs(d)
-    # NaN fails the comparison, so NaN input raises too
     if not (abs_d.min() > RANK_TOL):
         raise DegeneracyError("matrix is numerically rank-deficient")
     return q * (d / abs_d).conj()
@@ -248,6 +285,9 @@ def _orthonormalize_2x2(m):
     Q's first column is the normalised first column of m; its second is the
     unit vector orthogonal to it, phased by det/|det| so that
     R[1, 1] = |det| / |m[:, 0]| is real and positive.
+    Its divisors are complex numbers with zero imaginary part: complex /
+    complex has the same rules in every Python version, complex / float
+    does not.
     """
     (a00, a01), (a10, a11) = m.tolist()
     det = a00 * a11 - a01 * a10
@@ -257,9 +297,9 @@ def _orthonormalize_2x2(m):
     s_max = math.sqrt((fro + math.sqrt(max(fro * fro - 4.0 * abs_det * abs_det, 0.0))) / 2)
     if not (s_max > 0.0 and abs_det / s_max > RANK_TOL):
         raise DegeneracyError("matrix is numerically rank-deficient")
-    norm0 = math.sqrt(col0)
+    norm0 = complex(math.sqrt(col0), 0.0)
     q00, q10 = a00 / norm0, a10 / norm0
-    phase = det / abs_det
+    phase = det / complex(abs_det, 0.0)
     return np.array([[q00, -phase * q10.conjugate()],
                      [q10, phase * q00.conjugate()]])
 
@@ -270,11 +310,30 @@ def haar_unitary(dim, rng):
     Draws a complex Gaussian matrix and orthonormalizes it; the positive-
     diagonal-R phase fix in orthonormalize_qr is what makes the output
     distribution uniform rather than merely unitary.
+
+    The matrix is (X + 1j*Y) / sqrt(2) for standard normal X and Y, drawn in
+    that order. A 2x2 one, drawn for every coupled qubit, takes its 8
+    normals in one call (the same stream) and forms the entries in scalar
+    arithmetic: for nonzero x and y numpy's complex add and division by
+    sqrt(2) give exactly x / sqrt(2) and y / sqrt(2) as the real and
+    imaginary parts, which the real products x * _INV_SQRT2 reproduce. A draw
+    holding an exact zero, whose sign numpy's complex rules decide, goes
+    through numpy.
     """
     check_dim(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if dim == 2:
+        g = rng.standard_normal(8)
+        w = g.tolist()
+        if 0.0 not in w:
+            s = _INV_SQRT2
+            return orthonormalize_qr(np.array([
+                [complex(w[0] * s, w[4] * s), complex(w[1] * s, w[5] * s)],
+                [complex(w[2] * s, w[6] * s), complex(w[3] * s, w[7] * s)]]))
+        z = (g[:4] + 1j * g[4:]).reshape(2, 2)
+    else:
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return orthonormalize_qr(z / np.sqrt(2))
 
 
@@ -335,10 +394,9 @@ class StateVector:
         d; a wider factor would be a copy of the whole state.
         """
         keep = sorted(set(keep))
-        mat = reduced_density(self.amplitudes, self.dims, keep)
-        factor = None
-        if mat.shape[0] ** 2 > self.amplitudes.size:
-            factor = _schmidt_factor(self.amplitudes, self.dims, keep)
+        f = _schmidt_factor(self.amplitudes, self.dims, keep)
+        mat = reduced_density(self.amplitudes, self.dims, keep, factor=f)
+        factor = f if mat.shape[0] ** 2 > self.amplitudes.size else None
         return DensityMatrix(mat, tuple(self.dims[i] for i in keep), factor=factor)
 
 

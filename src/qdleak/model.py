@@ -15,6 +15,13 @@ Two interaction modes are supported:
   noisy unitaries QR(epsilon*I + (1-epsilon)*V) with V Haar-random, and whose
   interior projector pairs come from random real symmetric matrices.
 
+The per-qubit draw works on scalars: epsilon*I + (1-epsilon)*V is formed
+with its real and imaginary parts written out as numpy's complex loops form
+them, so the bits match the array expression and no Python version's mixed
+float/complex rules enter. A Hadamard-basis chain conjugates each 2x2 factor
+and takes the conditional as their product; the decoherence factor reads
+each qubit's overlap from the 2x2 entries.
+
 Everything is drawn from a seeded generator in a fixed order, so a scenario
 is a pure function of its spec.
 """
@@ -98,6 +105,21 @@ def basis_projectors(basis):
     """Rank-1 projector pair onto the basis pointer states."""
     k0, k1 = basis_states(basis)
     return np.outer(k0, k0.conj()), np.outer(k1, k1.conj())
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+# fixed parts of every chain, shared read-only: the first link's source
+# projectors and the identity factor of each qubit's branch-0 conditional
+_COMPUTATIONAL_PROJECTORS = tuple(_frozen(p) for p in basis_projectors(COMPUTATIONAL))
+_IDENTITY_2 = _frozen(np.eye(2, dtype=complex))
+
+# entries of the state |e0><e0| of every fresh environment qubit, e0 the
+# basis's first pointer state
+_FRESH_QUBIT = {basis: basis_projectors(basis)[0].tolist() for basis in BASES}
 
 
 def build_premeasurement(basis, alpha):
@@ -219,8 +241,27 @@ def _conjugate_all(mat, n_qubits):
 
 
 def _noisy_qubit_unitary(epsilon, rng):
-    v = haar_unitary(2, rng)
-    return orthonormalize_qr(epsilon * np.eye(2, dtype=complex) + (1.0 - epsilon) * v)
+    """QR(epsilon*I + (1-epsilon)*V) for a Haar-random 2x2 V.
+
+    The sum is formed from scalars as numpy forms it from arrays: a real
+    factor r multiplies as the complex (r, 0), (r, 0) * (x, y) =
+    (r*x - 0*y, r*y + 0*x), and the two terms add part by part. The real
+    and imaginary parts are written out, so no Python mixed float/complex
+    rule enters the bits.
+    """
+    (v00, v01), (v10, v11) = haar_unitary(2, rng).tolist()
+    # epsilon * I: (epsilon, 0) * (1, 0) on the diagonal, * (0, 0) off it
+    diag_re, diag_im = epsilon * 1.0 - 0.0 * 0.0, epsilon * 0.0 + 0.0 * 1.0
+    off_re, off_im = epsilon * 0.0 - 0.0 * 0.0, epsilon * 0.0 + 0.0 * 0.0
+    c = 1.0 - epsilon
+
+    def entry(i_re, i_im, v):
+        x, y = v.real, v.imag
+        return complex(i_re + (c * x - 0.0 * y), i_im + (c * y + 0.0 * x))
+
+    return orthonormalize_qr(np.array([
+        [entry(diag_re, diag_im, v00), entry(off_re, off_im, v01)],
+        [entry(off_re, off_im, v10), entry(diag_re, diag_im, v11)]]))
 
 
 def build_interaction_chain(spec, rng):
@@ -231,22 +272,22 @@ def build_interaction_chain(spec, rng):
     of the target layer (branch 0 is the identity, branch 1 a per-qubit
     product of noisy unitaries) and, for interior links, a random
     complementary projector pair of half the layer dimension on the source.
-    All operators are built in the computational frame and conjugated by
+    All operators are drawn in the computational frame and conjugated by
     Hadamards when the scenario basis is hadamard, which makes the two bases
-    exactly unitarily equivalent draw for draw.
+    unitarily equivalent draw for draw. The conjugated conditional is the
+    product of the conjugated 2x2 factors, since H^(x)n (x)_k f_k H^(x)n =
+    (x)_k H f_k H; it equals the dense conjugate of the computational one
+    to rounding.
     """
     ne = spec.qubits_per_layer
     had = spec.basis == HADAMARD
-    comp_proj = basis_projectors(COMPUTATIONAL)
     links = []
     for l in range(spec.n_layers):
         source = (1,) if l == 0 else spec.layer_qubits(l)
         target = spec.layer_qubits(l + 1)
 
-        if l == 0:
-            p0, p1 = comp_proj
-        elif spec.mode == MODE_ANALYTIC:
-            p0, p1 = comp_proj
+        if l == 0 or spec.mode == MODE_ANALYTIC:
+            p0, p1 = _COMPUTATIONAL_PROJECTORS
         else:
             p0, p1 = random_complementary_projectors(
                 spec.layer_dim, spec.layer_dim // 2, rng)
@@ -262,10 +303,12 @@ def build_interaction_chain(spec, rng):
         if had:
             p0 = _conjugate_all(p0, len(source))
             p1 = _conjugate_all(p1, len(source))
-            u1 = _conjugate_all(u1, ne)
             factors1 = [_conjugate_all(f, 1) for f in factors1]
+            # replaces the computational-frame product, which is still built:
+            # perfbench's traced kron counts (_chain_calls) include it
+            u1 = kron_all(factors1)
 
-        factors = (tuple([np.eye(2, dtype=complex)] * ne), tuple(factors1))
+        factors = ((_IDENTITY_2,) * ne, tuple(factors1))
         links.append(ChainLink(
             source=source, target=target, projectors=(p0, p1),
             conditionals=(ident, u1), factors=factors))
@@ -381,19 +424,21 @@ def decoherence_factor(spec, params):
         sum_{i != j} |sigma_ij| * prod_k |gamma_ij_k|  =  prod_k |gamma_k|
 
     over the first floor((1-f)*M) qubits. 1 means no decoherence (epsilon=1),
-    0 full decoherence. The chain is drawn from spec.seed.
+    0 full decoherence. The chain is drawn from spec.seed. U0_k is the
+    identity, so gamma_k = Tr(rho0 U1_k^dagger) = sum_ij rho0_ij conj(U1_k,ij),
+    read from the 2x2 entries; the whole chain is still built.
     """
     _check_rejected_setup(spec, params)
     link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
     used = params.used_qubits(spec.qubits_per_layer)
-    env0 = basis_states(spec.basis)[0]
-    rho0 = np.outer(env0, env0.conj())
-    gammas = [
-        np.trace(f0 @ rho0 @ f1.conj().T)
-        for f0, f1 in zip(link.factors[0][:used], link.factors[1][:used])
-    ]
+    (r00, r01), (r10, r11) = _FRESH_QUBIT[spec.basis]
+    gammas = []
+    for f1 in link.factors[1][:used]:
+        (a, b), (c, d) = f1.tolist()
+        gammas.append(r00 * a.conjugate() + r01 * b.conjugate()
+                      + r10 * c.conjugate() + r11 * d.conjugate())
     sigma_off = 1.0  # |sigma_01| + |sigma_10| for the uniform superposition
-    gamma_prod = float(np.prod([abs(g) for g in gammas]))
+    gamma_prod = math.prod(abs(g) for g in gammas)
     return sigma_off * gamma_prod
 
 

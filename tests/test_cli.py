@@ -122,6 +122,33 @@ def test_bad_output_path_rejected_before_any_point_runs(out, tmp_path, monkeypat
     assert not (tmp_path / "missing").exists()
 
 
+def test_unwritable_output_directory_exits_2_before_any_point_runs(tmp_path, monkeypatch,
+                                                                    capsys):
+    # a permission check would pass as root, so the refusal is simulated
+    def no_exchange(spec):
+        raise AssertionError("a grid point ran")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(experiments, "run_exchange_pair", no_exchange)
+    monkeypatch.setattr(experiments, "open", refuse, raising=False)
+    out = tmp_path / "x.csv"
+    args = ["pguess-vs-epsilon", "--eps-grid", "0.5", "--ne-grid", "3", "--reps", "30",
+            "--jobs", "1", "--out", str(out)]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Permission denied" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_probe_leaves_no_file_behind(tmp_path):
+    out = tmp_path / "layers.csv"
+    assert run_cli(["layers-table", "--reps", "1", "--eps-grid", "0.5", "--nl-grid", "1",
+                    "--jobs", "1", "--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["layers.csv"]
+
+
 @pytest.mark.parametrize("out_flag, conf", [(["--out", ""], None), ([], "out =\n")])
 def test_empty_output_path_exits_2(out_flag, conf, tmp_path, monkeypatch, capsys):
     def no_exchange(spec):

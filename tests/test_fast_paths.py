@@ -1,10 +1,16 @@
 """Differential tests of the fast paths against the numpy code they replace.
 
-`linalg.kron` on matrices must equal np.kron bit for bit; the closed-form
+`linalg.kron` on matrices must equal np.kron bit for bit, on its strided
+route as well; the 2x2 `haar_unitary` and the noisy qubit unitary, formed
+from scalars, must equal the numpy expressions they replace bit for bit;
+the Hadamard-frame conditional, a product of conjugated 2x2 factors, must
+match the dense conjugate H U H; `decoherence_factor`'s scalar overlap must
+match the trace of matrix products; `StateVector.reduced` must form the
+Schmidt factor once; the closed-form
 2x2 `orthonormalize_qr` must match LAPACK's QR with the positive-diagonal
 phase fix and raise exactly where the SVD finds the input rank-deficient;
 the larger `orthonormalize_qr`, which tests rank on R's diagonal, must equal
-that QR bit for bit and still reject rank-deficient and NaN input;
+that QR bit for bit and still reject rank-deficient and non-finite input;
 `apply_unitary` on an ascending run of subsystems must equal the
 move-targets-to-the-front route bit for bit;
 `model.build_initial_state` must equal the Kronecker chain of its qubit
@@ -22,19 +28,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qdleak import eavesdropper
+from qdleak import eavesdropper, linalg
 from qdleak.eavesdropper import helstrom_pguess, nested_control_pguess
 from qdleak.errors import DegeneracyError
-from qdleak.linalg import DensityMatrix, apply_unitary, kron, orthonormalize_qr
+from qdleak.linalg import (
+    DensityMatrix,
+    StateVector,
+    apply_unitary,
+    haar_unitary,
+    kron,
+    orthonormalize_qr,
+    reduced_density,
+)
 from qdleak.model import (
     BASES,
     COMPUTATIONAL,
     HADAMARD,
     HADAMARD_GATE,
+    DecoherenceFactorParams,
     ScenarioSpec,
+    _noisy_qubit_unitary,
     basis_states,
     build_initial_state,
+    build_interaction_chain,
     cx,
+    decoherence_factor,
     run_exchange_pair,
 )
 
@@ -96,6 +114,152 @@ def test_kron_wide_operand_is_bit_identical_to_numpy():
     b = np.array([[1, -0.0], [0.0, -1j]], dtype=complex)
     for x, y in ((a, b), (b, a)):
         assert np.array_equal(bits(kron(x, y)), bits(np.kron(x, y)))
+
+
+def signed_zero_matrix(rng, shape):
+    """Gaussian complex matrix with about a tenth of its parts set to +0.0 or -0.0."""
+    parts = rng.standard_normal((2,) + shape)
+    mask = rng.random(parts.shape) < 0.1
+    parts[mask] = np.where(rng.random(mask.sum()) < 0.5, 0.0, -0.0)
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = parts
+    return m
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.integers(32, 64), st.integers(32, 48),
+       st.integers(1, 2), st.integers(1, 2))
+def test_strided_kron_is_bit_identical_to_numpy(seed, m, n, p, q):
+    # a left operand of >= 1024 entries and a right one of 2..4 take the
+    # strided route (a 1x1 one broadcasts as it is); swapped, the pair takes
+    # the broadcast
+    rng = np.random.default_rng(seed)
+    large = signed_zero_matrix(rng, (m, n))
+    small = signed_zero_matrix(rng, (p, q))
+    assert large.size >= linalg._STRIDED_MIN_LEFT and small.size <= linalg._STRIDED_MAX_RIGHT
+    for a, b in ((large, small), (small, large)):
+        got = kron(a, b)
+        assert got.shape == (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        assert np.array_equal(bits(got), bits(np.kron(a, b)))
+
+
+# ------------------------------------------- 2x2 Haar and noisy unitaries
+
+def head_haar_2x2(rng):
+    """The 2x2 Haar draw as numpy arrays: two (2, 2) normal draws, then z / sqrt(2)."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return orthonormalize_qr(z / np.sqrt(2))
+
+
+def head_noisy_unitary(epsilon, rng):
+    v = head_haar_2x2(rng)
+    return orthonormalize_qr(epsilon * np.eye(2, dtype=complex) + (1.0 - epsilon) * v)
+
+
+def outcome(draw, *args):
+    try:
+        return draw(*args)
+    except DegeneracyError:
+        return "degenerate"
+
+
+def same_outcome(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(bits(a), bits(b))
+
+
+EPSILONS = st.one_of(st.sampled_from([0.0, 1.0, -0.0]), st.floats(0.0, 1.0))
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 64 - 1))
+def test_2x2_haar_draw_is_bit_identical_to_the_numpy_expression(seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert np.array_equal(bits(haar_unitary(2, got_rng)), bits(head_haar_2x2(want_rng)))
+    # the draw consumes the stream exactly as the two (2, 2) draws did
+    assert got_rng.standard_normal() == want_rng.standard_normal()
+
+
+@PROPERTY
+@given(EPSILONS, st.integers(0, 2 ** 64 - 1))
+def test_noisy_unitary_is_bit_identical_to_the_numpy_expression(eps, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = outcome(_noisy_qubit_unitary, eps, got_rng)
+        want = outcome(head_noisy_unitary, eps, want_rng)
+        assert same_outcome(got, want)
+
+
+class ScriptedNormals:
+    """Stands in for a Generator: standard_normal returns the scripted values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, size):
+        n = math.prod(np.atleast_1d(size))
+        out, self.values = self.values[:n], self.values[n:]
+        return np.reshape(np.array(out, dtype=float), size)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 2.0]), min_size=8, max_size=8),
+       EPSILONS)
+def test_draws_with_exact_zeros_are_bit_identical(normals, eps):
+    # exact zeros, whose signs numpy's complex rules decide, in every position
+    got = outcome(haar_unitary, 2, ScriptedNormals(normals))
+    want = outcome(head_haar_2x2, ScriptedNormals(normals))
+    assert same_outcome(got, want)
+    got = outcome(_noisy_qubit_unitary, eps, ScriptedNormals(normals))
+    want = outcome(head_noisy_unitary, eps, ScriptedNormals(normals))
+    assert same_outcome(got, want)
+
+
+# ------------------------------------------------------ Hadamard frame
+
+def hadamard_power(n):
+    h = np.eye(1)
+    for _ in range(n):
+        h = np.kron(h, HADAMARD_GATE)
+    return h
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.integers(1, 2), EPSILONS, st.integers(0, 2 ** 32 - 1))
+def test_hadamard_conditional_is_the_dense_conjugate(ne, nl, eps, seed):
+    assume(2 + nl * ne <= 14)
+    spec = ScenarioSpec(basis=COMPUTATIONAL, key_bit=0, n_layers=nl, qubits_per_layer=ne,
+                        epsilon=eps, seed=seed)
+    comp = build_interaction_chain(spec, np.random.default_rng(seed))
+    had = build_interaction_chain(replace(spec, basis=HADAMARD), np.random.default_rng(seed))
+    h = hadamard_power(ne)
+    for c, d in zip(comp, had):
+        assert np.max(np.abs(d.conditionals[1] - h @ c.conditionals[1] @ h)) <= 1e-12
+        for fc, fd in zip(c.factors[1], d.factors[1]):
+            assert np.max(np.abs(fd - HADAMARD_GATE @ fc @ HADAMARD_GATE)) <= 1e-15
+
+
+# -------------------------------------------------- decoherence_factor
+
+def matmul_decoherence_factor(spec):
+    """prod_k |Tr(f0_k rho0 f1_k^dagger)| over the first link's factors."""
+    link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
+    env0 = basis_states(spec.basis)[0]
+    rho0 = np.outer(env0, env0.conj())
+    gammas = [np.trace(f0 @ rho0 @ f1.conj().T)
+              for f0, f1 in zip(link.factors[0], link.factors[1])]
+    return float(np.prod([abs(g) for g in gammas]))
+
+
+@PROPERTY
+@given(st.sampled_from(BASES), st.integers(1, 7), EPSILONS, st.integers(0, 2 ** 32 - 1))
+def test_decoherence_factor_matches_the_matmul_form(basis, ne, eps, seed):
+    spec = ScenarioSpec(basis=basis, key_bit=0, n_layers=1, qubits_per_layer=ne,
+                        epsilon=eps, seed=seed)
+    got = decoherence_factor(spec, DecoherenceFactorParams(pointer_basis=basis))
+    assert abs(got - matmul_decoherence_factor(spec)) <= 1e-15
 
 
 # ------------------------------------------------- 2x2 orthonormalize_qr
@@ -182,6 +346,18 @@ def _degenerate_matrices(n):
 def test_qr_rejects_rank_deficient_and_nan_input(n, kind):
     with pytest.raises(DegeneracyError):
         orthonormalize_qr(_degenerate_matrices(n)[kind])
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+@pytest.mark.parametrize("value", (np.inf, -np.inf, complex(0.0, np.inf)))
+@pytest.mark.parametrize("where", ("diagonal", "corner"))
+def test_qr_rejects_infinite_input(n, value, where):
+    # LAPACK returns a NaN Q for inf on the diagonal and a finite Q for inf
+    # in the top-right corner; both must raise
+    m = np.eye(n, dtype=complex)
+    m[(1, 1) if where == "diagonal" else (0, n - 1)] = value
+    with pytest.raises(DegeneracyError):
+        orthonormalize_qr(m)
 
 
 # --------------------------------------------------------- apply_unitary
@@ -297,6 +473,28 @@ def test_low_rank_antennas_match_dense(pair, seed):
     # nested antennas: a larger subspace never loses trace norm
     values = [got[k] for k in ks]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("keep", ((2, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4), (1, 3, 5, 7, 8)))
+def test_reduced_forms_the_schmidt_factor_once(keep, monkeypatch):
+    rng = np.random.default_rng(9)
+    amp = rng.standard_normal(2 ** 9) + 1j * rng.standard_normal(2 ** 9)
+    state = StateVector(amp / np.linalg.norm(amp), (2,) * 9)
+    calls = []
+    original = linalg._schmidt_factor
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "_schmidt_factor", counted)
+    rho = state.reduced(keep)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    want = reduced_density(state.amplitudes, state.dims, keep)
+    assert np.array_equal(bits(rho.matrix), bits(want))
+    assert rho.factor is not None
+    assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(want))
 
 
 def test_factor_with_the_wrong_row_count_is_rejected():

@@ -4,7 +4,7 @@ Each case runs one experiment on a tiny grid with 2 repetitions and compares
 its rows with `tests/data/<case>.csv`: every non-numeric column exactly,
 `mean` and `std` to within 1e-12. Together the cases cover all five
 experiments, both partial-control models, the 2x2 and the 8..128-dimensional
-QR, interior projector links and the 14-qubit ceiling.
+QR, interior projector links, the Hadamard basis and the 14-qubit ceiling.
 
 The stored CSVs may be regenerated only by a change whose CHANGES.md entry
 reports that the values moved, and by how much at most. To regenerate them:
@@ -42,6 +42,12 @@ CASES = {
     "layers_table_last_layer": dict(
         experiment="layers_table", eps_grid=(0.7,), ne_grid=(3,), nl_grid=(2, 4),
         eve_layer=2),
+    "layers_table_hadamard": dict(
+        experiment="layers_table", eps_grid=(0.0, 0.5, 0.9), ne_grid=(3,), nl_grid=(1, 2),
+        basis="hadamard"),
+    "pguess_vs_epsilon_hadamard": dict(
+        experiment="pguess_vs_epsilon", eps_grid=(0.0, 0.4, 1.0), ne_grid=(5,),
+        basis="hadamard"),
     "conjecture_check": dict(
         experiment="conjecture_check", eps_grid=(0.0, 0.5, 1.0),
         alpha_grid=(0.0, math.pi / 6), nl_grid=(1, 3, 5)),
