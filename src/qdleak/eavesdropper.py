@@ -137,15 +137,25 @@ def nested_control_pguess(rho0, rho1, ks, rng):
     its leading 2^k columns serve every k, so the antennas are nested and the
     result is non-decreasing in k for the same draw (a compression to a
     smaller subspace can only lose trace norm). Returns {k: p_guess}.
+
+    Only the columns a proper rank 2^k < dim reads are orthonormalized
+    (haar_unitary's `columns`, at least one, from the full draw). The full
+    rank resolves the whole layer, where every orthonormal basis gives the
+    same value, so it reads the identity and equals helstrom_pguess.
     """
     dim = _states(rho0, rho1)[0].shape[0]
     ks = sorted(set(int(k) for k in ks))
     if ks and 2 ** ks[-1] > dim:
         raise ValueError(f"rank 2^{ks[-1]} exceeds the layer dimension {dim}")
-    u = haar_unitary(dim, rng)
+    proper = [2 ** k for k in ks if 1 <= k and 2 ** k < dim]
+    u = haar_unitary(dim, rng, columns=max(proper, default=1))
     out = {}
     for k in ks:
-        out[k] = 0.5 if k == 0 else subspace_pguess(rho0, rho1, u[:, : 2 ** k])
+        if k == 0:
+            out[k] = 0.5
+        else:
+            frame = u[:, : 2 ** k] if 2 ** k < dim else np.eye(dim, dtype=complex)
+            out[k] = subspace_pguess(rho0, rho1, frame)
     return out
 
 

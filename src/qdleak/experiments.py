@@ -126,10 +126,11 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         if not 0 <= self.base_seed < 2 ** 64:
             raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
-        object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+        # + 0.0 turns -0.0 into 0.0: both name one point, whose seeds hash repr()
+        object.__setattr__(self, "eps_grid", tuple(float(e) + 0.0 for e in self.eps_grid))
         object.__setattr__(self, "ne_grid", tuple(int(n) for n in self.ne_grid))
         object.__setattr__(self, "nl_grid", tuple(int(n) for n in self.nl_grid))
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "alpha_grid", tuple(float(a) + 0.0 for a in self.alpha_grid))
         # NaN fails both comparisons, so this also rejects non-finite values
         if not all(0.0 <= e <= 1.0 for e in self.eps_grid):
             raise ValueError(f"every epsilon must be finite and in [0, 1], got {self.eps_grid}")

@@ -8,9 +8,11 @@ numpy's per-call overhead dwarfs the arithmetic at that size: the 2x2 QR is
 closed-form, and the 2x2 Haar draw forms its entries from one call's normals
 in scalar arithmetic that reproduces numpy's complex rules bit for bit.
 kron fills a large-times-small product by strided multiplies, which keeps
-it bit-identical to np.kron. Larger QRs test their rank on the R they
-compute, with no separate SVD, and an operator on an adjacent run of
-subsystems is one matrix product, with no axis permutation of the state.
+it bit-identical to np.kron. Larger QRs, square or tall, test their rank
+on the R they compute, with no separate SVD, and a Haar draw of which only
+the leading columns are read orthonormalizes only those. An operator on an
+adjacent run of subsystems is one matrix product, with no axis permutation
+of the state, and a reduction to such a run reshapes the same way.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
 
@@ -156,6 +158,10 @@ def _schmidt_factor(amplitudes, dims, keep):
 
     Row i holds the amplitudes of kept basis state i against every basis
     state of the rest, so F's column count bounds the reduced state's rank.
+    An ascending run k0..k0+n-1 of kept subsystems takes apply_unitary's
+    single reshape of the amplitudes to (left, d, right); other sets move
+    their axes to the front. Both order the rest's axes as they stand, so
+    they give the same bits.
     """
     amp = _as_complex(amplitudes).reshape(-1)
     dims = list(dims)
@@ -164,9 +170,12 @@ def _schmidt_factor(amplitudes, dims, keep):
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError("subsystem index out of range")
-    shaped = amp.reshape(dims)
-    moved = np.moveaxis(shaped, keep, range(len(keep)))
-    d = int(np.prod([dims[i] for i in keep]))
+    d = math.prod(dims[i] for i in keep)
+    k0 = keep[0]
+    if keep == list(range(k0, k0 + len(keep))):
+        left = math.prod(dims[:k0])
+        return amp.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
+    moved = np.moveaxis(amp.reshape(dims), keep, range(len(keep)))
     return moved.reshape(d, -1)
 
 
@@ -243,17 +252,20 @@ def trace_norm(h):
 
 
 def orthonormalize_qr(m):
-    """Nearest-unitary factor from the QR decomposition m = Q R.
+    """Isometry factor Q of the thin QR decomposition m = Q R.
 
-    The phase convention fixes every diagonal entry of R to be real and
-    positive (Mezzadri, Notices AMS 54, 2007), which makes the result unique
-    and, applied to a complex Gaussian matrix, Haar-distributed.
-    Already-unitary input is returned unchanged (R is then the identity).
-    A 2x2 input is factored in closed form; larger ones by LAPACK.
+    `m` is square or tall (m x n with m >= n); Q has m's shape and
+    orthonormal columns. The phase convention fixes every diagonal entry of
+    R to be real and positive (Mezzadri, Notices AMS 54, 2007), which makes
+    the result unique and, applied to a complex Gaussian matrix,
+    Haar-distributed; with that convention Q's leading columns depend only
+    on m's leading columns. Already-unitary input is returned unchanged
+    (R is then the identity). A 2x2 input is factored in closed form;
+    others by LAPACK. Wide input raises ValueError.
 
     Raises DegeneracyError for numerically rank-deficient input. A 2x2
     input is tested exactly: smallest singular value at most RANK_TOL.
-    A larger one raises for any NaN or infinite entry, and is otherwise
+    Any other raises for any NaN or infinite entry, and is otherwise
     tested on R's diagonal, which its QR computes anyway: some |R_ii| at
     most RANK_TOL. Since the smallest
     singular value is at most min |R_ii|, every such raise is a true rank
@@ -261,8 +273,8 @@ def orthonormalize_qr(m):
     while every |R_ii| stays above it is factored, not rejected.
     """
     m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+    if m.ndim != 2 or m.shape[0] < m.shape[1]:
+        raise ValueError("expected a square or tall matrix")
     if m.shape == (2, 2):
         return _orthonormalize_2x2(m)
     # LAPACK can return a finite Q for input holding an inf
@@ -304,8 +316,8 @@ def _orthonormalize_2x2(m):
                      [q10, phase * q00.conjugate()]])
 
 
-def haar_unitary(dim, rng):
-    """Haar-distributed random unitary of the given dimension.
+def haar_unitary(dim, rng, columns=None):
+    """Haar-distributed random unitary of the given dimension, or its leading columns.
 
     Draws a complex Gaussian matrix and orthonormalizes it; the positive-
     diagonal-R phase fix in orthonormalize_qr is what makes the output
@@ -319,22 +331,36 @@ def haar_unitary(dim, rng):
     imaginary parts, which the real products x * _INV_SQRT2 reproduce. A draw
     holding an exact zero, whose sign numpy's complex rules decide, goes
     through numpy.
+
+    `columns` = c < dim returns only the first c columns, a dim x c
+    isometry: the same dim x dim normals are drawn, so the stream does not
+    change, but only their first c columns are orthonormalized. With R's
+    diagonal positive, Q's leading columns depend only on the matrix's
+    leading columns, so this is the full unitary's first c columns (to
+    rounding; bit for bit with one BLAS thread) at the cost of a dim x c
+    QR.
     """
     check_dim(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if columns is not None and not 1 <= columns <= dim:
+        raise ValueError(f"columns must be in [1, {dim}], got {columns}")
     if dim == 2:
+        # the closed-form 2x2 QR costs less than a LAPACK one of a column
         g = rng.standard_normal(8)
         w = g.tolist()
         if 0.0 not in w:
             s = _INV_SQRT2
-            return orthonormalize_qr(np.array([
+            u = orthonormalize_qr(np.array([
                 [complex(w[0] * s, w[4] * s), complex(w[1] * s, w[5] * s)],
                 [complex(w[2] * s, w[6] * s), complex(w[3] * s, w[7] * s)]]))
-        z = (g[:4] + 1j * g[4:]).reshape(2, 2)
-    else:
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return orthonormalize_qr(z / np.sqrt(2))
+        else:
+            u = orthonormalize_qr((g[:4] + 1j * g[4:]).reshape(2, 2) / np.sqrt(2))
+        return u if columns is None else u[:, :columns]
+    x = rng.standard_normal((dim, dim))
+    y = rng.standard_normal((dim, dim))
+    # a slice to None keeps every column
+    return orthonormalize_qr((x[:, :columns] + 1j * y[:, :columns]) / np.sqrt(2))
 
 
 def random_complementary_projectors(dim, rank0, rng):

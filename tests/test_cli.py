@@ -1,9 +1,16 @@
 """Command-line interface: flags, config files, exit codes, heap policy."""
 
+import contextlib
 import ctypes
+import io
+import os
+import tempfile
 import types
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdleak import cli, experiments
 from qdleak.errors import ContractError
@@ -253,6 +260,146 @@ def test_empty_grid_exits_2(args, conf, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "holds no value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("pguess-vs-epsilon", ["--ne-grid", "1"]),
+    ("decoherence-sweep", ["--ne-grid", "1"]),
+    ("conjecture-check", ["--nl-grid", "1,2"]),
+])
+def test_negative_zero_names_the_zero_point(command, extra, tmp_path):
+    # seeds hash repr() of epsilon and alpha, and repr(-0.0) is not repr(0.0)
+    base = [command, "--reps", "2", "--jobs", "1"] + extra
+    paths = []
+    for zero in ("0.0", "-0.0"):
+        path = tmp_path / f"{zero}.csv"
+        alpha = [] if command == "decoherence-sweep" and zero == "0.0" else [f"--alpha={zero}"]
+        assert run_cli(base + [f"--eps-grid={zero},0.5", "--out", str(path)] + alpha) == 0
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "-0.0" not in paths[1].read_text(encoding="utf-8")
+
+
+# ------------------------------------------------- input property test
+# Every input either runs (exit 0, one "wrote" line) or is refused with exit
+# 2 and one error line: no traceback, no warning, no exit 3. Grids are tiny
+# and repetitions at most 2, so a run that is accepted takes milliseconds;
+# --jobs is at most 2.
+
+EPS = ("0", "0.5", "1", "-0.0", "1e-3")
+REFUSED = {
+    "eps_grid": ("nan", "inf", "-inf", "1.5", "-0.1", "", " ", "0.5,0.5", "0.0,-0.0", "x"),
+    "ne_grid": ("0", "-1", "15", "2.5", "", "2,2", "1,,2", "x"),
+    "nl_grid": ("0", "9", "", "1,1", "x"),
+    "seed": ("-1", "18446744073709551616", "1.5", "0x10", "x"),
+    "reps": ("0", "-3", "x"),
+    "jobs": ("0", "-1", "x"),
+    "alpha": ("nan", "inf", "-inf", "x"),
+    "eve_layer": ("0", "9", "x"),
+    "control_mode": ("bogus",),
+}
+
+
+def _grid(draw, tokens):
+    return ",".join(draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=2,
+                                  unique=True)))
+
+
+def _accepted(draw, command):
+    """Settings the command accepts, each drawn from a small range."""
+    values = {"eps_grid": _grid(draw, EPS), "reps": draw(st.sampled_from(["1", "2"])),
+              "jobs": draw(st.sampled_from(["1", "2"]))}
+    if command == "conjecture-check":
+        values["nl_grid"] = _grid(draw, ("1", "2", "3"))
+    elif command == "layers-table":
+        values["ne_grid"] = draw(st.sampled_from(["1", "2", "3"]))
+        values["nl_grid"] = _grid(draw, ("1", "2"))
+    else:
+        values["ne_grid"] = _grid(draw, ("1", "2", "3"))
+        values["nl_grid"] = draw(st.sampled_from(["1", "2"]))
+    optional = {"seed": ("0", "7", "18446744073709551615")}
+    if command != "decoherence-sweep":
+        optional["alpha"] = ("0", "-0.0", "0.3", "1e308")
+    if command not in ("decoherence-sweep", "conjecture-check"):
+        optional["eve_layer"] = ("1",)
+    if command == "partial-control-table":
+        optional["control_mode"] = ("rank", "subset")
+    for key, tokens in optional.items():
+        if draw(st.booleans()):
+            values[key] = draw(st.sampled_from(tokens))
+    return values
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv without --out, config-file bytes or None).
+
+    A setting the command accepts, with up to two of its values replaced
+    by refused ones.
+    """
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    values = _accepted(draw, command)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        key = draw(st.sampled_from(sorted(REFUSED)))
+        values[key] = draw(st.sampled_from(REFUSED[key]))
+    argv = [command]
+    lines = []
+    for key, value in values.items():
+        if draw(st.booleans()):
+            # the = form keeps argparse from reading "-0.0,1" as an option
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            lines.append(f"{draw(st.sampled_from([key, key.replace('_', '-')]))} = {value}")
+    if draw(st.integers(0, 4)) == 0:
+        lines.append(draw(st.sampled_from(["colour = red", "no equals sign", "# note"])))
+    conf = None
+    if lines or draw(st.booleans()):
+        text = "\n".join(draw(st.permutations(lines))) + "\n"
+        conf = text.encode()
+        if all(draw(st.booleans()) for _ in range(3)):
+            # a file that is not UTF-8
+            conf = text.encode("utf-16") if draw(st.booleans()) else b"\xff" + conf
+    return argv, conf
+
+
+def _run_captured(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue(), caught
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cli_inputs())
+def test_any_input_runs_or_exits_2_with_one_line(case):
+    argv, conf = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = argv + ["--out", os.path.join(tmp, "out.csv")]
+        if conf is not None:
+            with open(os.path.join(tmp, "sweep.conf"), "wb") as fh:
+                fh.write(conf)
+            argv += ["--config", os.path.join(tmp, "sweep.conf")]
+        code, out, err, caught = _run_captured(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err
+    assert code in (0, 2), (code, err)
+    if code == 0:
+        assert err == ""
+        assert len(out.splitlines()) == 1 and out.startswith("wrote ")
+        return
+    lines = err.splitlines()
+    if len(lines) == 1:
+        assert lines[0].startswith("qdleak: configuration error: ")
+    else:
+        # argparse prints its usage, then its one error line
+        assert lines[0].startswith("usage: qdleak ")
+        assert [line for line in lines if "error" in line] == lines[-1:]
+        assert lines[-1].startswith("qdleak ") and ": error: " in lines[-1]
 
 
 # ------------------------------------------------------- heap policy

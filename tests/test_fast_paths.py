@@ -11,13 +11,17 @@ Schmidt factor once; the closed-form
 phase fix and raise exactly where the SVD finds the input rank-deficient;
 the larger `orthonormalize_qr`, which tests rank on R's diagonal, must equal
 that QR bit for bit and still reject rank-deficient and non-finite input;
-`apply_unitary` on an ascending run of subsystems must equal the
-move-targets-to-the-front route bit for bit;
+`apply_unitary` on an ascending run of subsystems, and the Schmidt factor
+of a reduction to one, must equal the move-to-the-front route bit for bit;
 `model.build_initial_state` must equal the Kronecker chain of its qubit
 states bit for bit; the low-rank discrimination through Schmidt factors
-must match the dense one on the bare matrices; the Hadamard-basis scenario
-must be the Hadamard frame of the computational one, draw for draw. The
-references are written out here, not imported.
+must match the dense one on the bare matrices; a tall `orthonormalize_qr`
+must be the thin LAPACK QR with the phase fix, and the thin Haar frame
+(`haar_unitary(..., columns=c)`) the leading columns of the full one, so
+that `nested_control_pguess`, which orthonormalizes only the columns its
+proper ranks read, matches the antenna on the full unitary; the
+Hadamard-basis scenario must be the Hadamard frame of the computational
+one, draw for draw. The references are written out here, not imported.
 """
 
 import math
@@ -28,8 +32,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qdleak import eavesdropper, linalg
-from qdleak.eavesdropper import helstrom_pguess, nested_control_pguess
+from qdleak import eavesdropper, experiments, linalg
+from qdleak.eavesdropper import helstrom_pguess, nested_control_pguess, subspace_pguess
 from qdleak.errors import DegeneracyError
 from qdleak.linalg import (
     DensityMatrix,
@@ -360,6 +364,85 @@ def test_qr_rejects_infinite_input(n, value, where):
         orthonormalize_qr(m)
 
 
+def _gaussian(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+@PROPERTY
+@given(st.integers(2, 16), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_tall_qr_is_an_isometry_with_positive_r_diagonal(m, data, seed):
+    n = data.draw(st.integers(1, m))
+    z = _gaussian(np.random.default_rng(seed), (m, n))
+    q = orthonormalize_qr(z)
+    assert q.shape == (m, n)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(n))) <= 1e-12
+    r = q.conj().T @ z
+    assert np.max(np.abs(np.tril(r, -1)), initial=0.0) <= 1e-12
+    assert np.all(np.diagonal(r).real > 0.0)
+    assert np.max(np.abs(np.diagonal(r).imag)) <= 1e-12
+    if (m, n) != (2, 2):
+        assert np.array_equal(bits(q), bits(reference_qr(z)))
+
+
+def _degenerate_tall_matrices(m, n):
+    z = _gaussian(np.random.default_rng(m * n), (m, n))
+    zero_column = z.copy()
+    zero_column[:, -1] = 0.0
+    repeated_column = z.copy()
+    repeated_column[:, -1] = 2.0 * z[:, 0]
+    nan_entry = z.copy()
+    nan_entry[m // 2, n // 2] = np.nan
+    inf_entry = z.copy()
+    inf_entry[0, n - 1] = np.inf
+    return {"zero column": zero_column, "repeated column": repeated_column,
+            "rank one": np.outer(z[:, 0], z[0]), "nan entry": nan_entry,
+            "inf entry": inf_entry}
+
+
+@pytest.mark.parametrize("shape", ((3, 2), (8, 4), (16, 3)))
+@pytest.mark.parametrize("kind", ("zero column", "repeated column", "rank one",
+                                  "nan entry", "inf entry"))
+def test_tall_qr_rejects_rank_deficient_and_non_finite_input(shape, kind):
+    with pytest.raises(DegeneracyError):
+        orthonormalize_qr(_degenerate_tall_matrices(*shape)[kind])
+
+
+@pytest.mark.parametrize("shape", ((2, 3), (4, 8), (1, 2)))
+def test_wide_qr_input_is_rejected(shape):
+    with pytest.raises(ValueError):
+        orthonormalize_qr(np.ones(shape, dtype=complex))
+
+
+def _one_blas_thread_in_effect():
+    threads = experiments._bundled_openblas()
+    return threads is not None and threads[0]() == 1
+
+
+@PROPERTY
+@given(st.integers(1, 128), st.data(), st.integers(0, 2 ** 64 - 1))
+def test_haar_columns_are_the_leading_columns_of_the_full_draw(dim, data, seed):
+    columns = data.draw(st.integers(1, dim))
+    rng_thin, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
+    with experiments._one_blas_thread():
+        thin = haar_unitary(dim, rng_thin, columns=columns)
+        full = haar_unitary(dim, rng_full)[:, :columns]
+        exact = _one_blas_thread_in_effect()
+    assert thin.shape == (dim, columns)
+    # the whole dim x dim draw is taken: the stream goes on where it did
+    assert rng_thin.bit_generator.state == rng_full.bit_generator.state
+    if exact:
+        assert np.array_equal(bits(thin), bits(full))
+    else:
+        # several BLAS threads split the QR's column work by column count
+        assert np.max(np.abs(thin - full)) <= 1e-13
+
+
+@pytest.mark.parametrize("columns", (0, -1, 9))
+def test_haar_columns_out_of_range_are_rejected(columns):
+    with pytest.raises(ValueError):
+        haar_unitary(8, np.random.default_rng(0), columns=columns)
+
+
 # --------------------------------------------------------- apply_unitary
 
 def reference_apply(amplitudes, dims, op, targets):
@@ -391,6 +474,23 @@ def test_apply_unitary_on_a_run_is_bit_identical_to_moving_axes(run, seed):
     op = rng.standard_normal((d_t, d_t)) + 1j * rng.standard_normal((d_t, d_t))
     got = apply_unitary(amp, dims, op, targets)
     assert np.array_equal(bits(got), bits(reference_apply(amp, dims, op, targets)))
+
+
+def reference_schmidt_factor(amplitudes, dims, keep):
+    """Move the kept subsystems to the front and flatten the rest."""
+    d = int(np.prod([dims[i] for i in keep]))
+    return np.moveaxis(amplitudes.reshape(dims), keep, range(len(keep))).reshape(d, -1)
+
+
+@PROPERTY
+@given(qubit_runs(), st.integers(0, 2 ** 32 - 1))
+def test_schmidt_factor_of_a_run_is_bit_identical_to_moving_axes(run, seed):
+    n, keep = run
+    dims = [2] * n
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    got = linalg._schmidt_factor(amp, dims, keep)
+    assert np.array_equal(bits(got), bits(reference_schmidt_factor(amp, dims, keep)))
 
 
 # ---------------------------------------------------- build_initial_state
@@ -473,6 +573,46 @@ def test_low_rank_antennas_match_dense(pair, seed):
     # nested antennas: a larger subspace never loses trace norm
     values = [got[k] for k in ks]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def full_frame_nested_control(rho0, rho1, ks, rng):
+    """The antenna on the full Haar unitary: its leading 2^k columns per rank."""
+    dim = np.asarray(getattr(rho0, "matrix", rho0)).shape[0]
+    u = haar_unitary(dim, rng)
+    return {k: 0.5 if k == 0 else subspace_pguess(rho0, rho1, u[:, : 2 ** k])
+            for k in sorted(set(ks))}
+
+
+@st.composite
+def antenna_cases(draw):
+    """A layer-state pair from chains of 1-2 layers and any set of ranks."""
+    nl = draw(st.integers(1, 2))
+    ne = draw(st.integers(1, 7 if nl == 1 else 6))
+    spec = ScenarioSpec(
+        basis=draw(st.sampled_from(BASES)), key_bit=0, n_layers=nl, qubits_per_layer=ne,
+        epsilon=draw(st.floats(0.0, 1.0)), alpha=draw(st.sampled_from([0.0, 0.3])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)), eve_layer=draw(st.integers(1, nl)))
+    out0, out1 = run_exchange_pair(spec)
+    ks = draw(st.sets(st.integers(0, ne)))
+    return out0.rho_eve_layer, out1.rho_eve_layer, ks
+
+
+# a 128-dimensional dense antenna costs milliseconds per rank
+@settings(PROPERTY, max_examples=100)
+@given(antenna_cases(), st.integers(0, 2 ** 64 - 1))
+def test_thin_antenna_matches_the_full_frame(case, seed):
+    rho0, rho1, ks = case
+    full_rank = int(math.log2(rho0.dim))
+    # the factor route (when the states carry factors), then the dense one
+    for pair in ((rho0, rho1), (rho0.matrix, rho1.matrix)):
+        got = nested_control_pguess(*pair, ks, np.random.default_rng(seed))
+        want = full_frame_nested_control(*pair, ks, np.random.default_rng(seed))
+        assert got.keys() == want.keys() == ks
+        for k in ks:
+            assert abs(got[k] - want[k]) <= 1e-12, k
+        if full_rank in ks:
+            # the whole layer is read in the identity frame
+            assert got[full_rank] == helstrom_pguess(*pair)
 
 
 @pytest.mark.parametrize("keep", ((2, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4), (1, 3, 5, 7, 8)))
