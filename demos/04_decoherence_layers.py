@@ -15,18 +15,21 @@ from qdleak import (
     ScenarioSpec,
     decoherence_factor,
     decoherence_factor_from_state,
+    scenario_seed,
 )
 
 REPS = 60
+BASE_SEED = 4
 
 
 def mean_gamma(ne, eps):
     values = []
     for rep in range(REPS):
         for basis in ("computational", "hadamard"):
+            seed = scenario_seed(BASE_SEED, basis, "haar", eps, 0.0, ne, rep)
             spec = ScenarioSpec(basis=basis, key_bit=0, n_layers=1,
                                 qubits_per_layer=ne, epsilon=eps,
-                                mode="haar", seed=hash((basis, ne, eps, rep)) % 2**63)
+                                mode="haar", seed=seed)
             params = DecoherenceFactorParams(pointer_basis=basis)
             values.append(decoherence_factor(spec, params))
     return float(np.mean(values))

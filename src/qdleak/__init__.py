@@ -9,46 +9,17 @@ Library layout:
                         closed forms for single-qubit layers
 * qdleak.experiments  — deterministic seed-averaged sweeps with CSV output
 * qdleak.cli          — the `qdleak` command
+
+The package namespace holds what the demos and the library tour use; every
+other name is imported from its submodule.
 """
 
-from .errors import (
-    ContractError,
-    DegeneracyError,
-    DimensionLimitError,
-    QDLeakError,
-)
-from .linalg import (
-    DIM_LIMIT,
-    DensityMatrix,
-    StateVector,
-    apply_unitary,
-    haar_unitary,
-    herm_eig,
-    kron,
-    kron_all,
-    orthonormalize_qr,
-    partial_trace,
-    random_complementary_projectors,
-    reduced_density,
-    trace_norm,
-)
+from .errors import DegeneracyError
+from .linalg import orthonormalize_qr
 from .model import (
-    BASES,
-    COMPUTATIONAL,
-    HADAMARD,
-    MODE_ANALYTIC,
-    MODE_HAAR,
-    ChainLink,
     DecoherenceFactorParams,
-    ExchangeOutcome,
     ScenarioSpec,
-    basis_projectors,
-    basis_states,
-    build_initial_state,
-    build_interaction_chain,
-    build_premeasurement,
     cx,
-    cz,
     decoherence_factor,
     decoherence_factor_from_state,
     q_prime,
@@ -63,21 +34,7 @@ from .eavesdropper import (
     keyrate_variant_report,
     mutual_information,
     nested_control_pguess,
-    sign_flipped_difference_keyrate,
-    subset_pguess,
-    subspace_pguess,
 )
-from .experiments import (
-    CSV_HEADER,
-    DEFAULT_BASE_SEED,
-    DEFAULT_REPETITIONS,
-    ResultRow,
-    SweepConfig,
-    derive_seed,
-    run_and_write,
-    run_experiment,
-    scenario_seed,
-    write_csv,
-)
+from .experiments import scenario_seed
 
 __version__ = "0.1.0"

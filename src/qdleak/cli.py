@@ -4,7 +4,8 @@
 
 with experiments decoherence-sweep, pguess-vs-epsilon, partial-control-table,
 layers-table and conjecture-check. Every flag can also be given in a flat
-key = value config file (--config); flags override file values. Exit codes:
+key = value config file (--config), whose entries are parsed as flags placed
+before the command line's own, so a flag overrides the file. Exit codes:
 0 success, 2 configuration/argument error, 3 numerical contract violation.
 """
 
@@ -30,33 +31,35 @@ _COMMANDS = {
 
 _CONFIG_KEYS = ("seed", "reps", "jobs", "out", "alpha", "eve_layer",
                 "control_mode", "eps_grid", "ne_grid", "nl_grid")
+# every flag but --help takes a value
+_VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key in _CONFIG_KEYS}
 
 
 def _add_common_flags(parser):
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value config file; flags override it")
-    parser.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help=f"base seed (default {DEFAULT_BASE_SEED})")
-    parser.add_argument("--reps", type=int, default=None, metavar="N",
-                        help=f"repetitions per grid point (default {DEFAULT_REPETITIONS})")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED, metavar="U64",
+                        help="base seed (default %(default)s)")
+    parser.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS, metavar="N",
+                        help="repetitions per grid point (default %(default)s)")
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
                         help="worker processes (default: logical core count)")
-    parser.add_argument("--out", default=None, metavar="PATH",
+    parser.add_argument("--out", metavar="PATH",
                         help="output CSV path (default: <experiment>.csv)")
-    parser.add_argument("--alpha", type=float, default=None, metavar="RADIANS",
+    parser.add_argument("--alpha", type=float, metavar="RADIANS",
                         help="coupling rotation angle (default 0)")
-    parser.add_argument("--eve-layer", type=int, default=None, metavar="INDEX",
+    parser.add_argument("--eve-layer", type=int, metavar="INDEX",
                         help="1-based layer the eavesdropper reads (default: last; "
                              "layers-table defaults to 1); not accepted by "
                              "decoherence-sweep and conjecture-check")
-    parser.add_argument("--control-mode", choices=("rank", "subset"), default=None,
+    parser.add_argument("--control-mode", choices=("rank", "subset"),
                         help="partial-control model (default rank); "
                              "partial-control-table only")
-    parser.add_argument("--eps-grid", default=None, metavar="LIST",
+    parser.add_argument("--eps-grid", metavar="LIST",
                         help="comma-separated interaction degrees, e.g. 0,0.5,1")
-    parser.add_argument("--ne-grid", default=None, metavar="LIST",
+    parser.add_argument("--ne-grid", metavar="LIST",
                         help="comma-separated qubits-per-layer values")
-    parser.add_argument("--nl-grid", default=None, metavar="LIST",
+    parser.add_argument("--nl-grid", metavar="LIST",
                         help="comma-separated layer counts")
 
 
@@ -70,6 +73,22 @@ def build_parser():
         sp = sub.add_parser(command, help=f"run the {command.replace('-', ' ')} experiment")
         _add_common_flags(sp)
     return parser
+
+
+def _joined(argv):
+    """argv with each `--flag value` of a value-taking flag as `--flag=value`.
+
+    argparse takes a separate value that starts with "-" (say "-0.0,0.5")
+    for an option; joined, it is read as the value. A following long flag is
+    left alone, so `--out --jobs 2` still lacks its value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def parse_config_file(path):
@@ -97,47 +116,25 @@ def _grid(name, text, convert):
     """
     if text is None:
         return ()
-    tokens = str(text).split(",")
+    tokens = text.split(",")
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"{name} {text!r} holds no value in one of its entries")
     return tuple(convert(tok) for tok in tokens)
 
 
-def _merged(args):
-    """Flag > config file > built-in default."""
-    file_values = parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_name, file_key, convert):
-        flag = getattr(args, flag_name)
-        if flag is not None:
-            return flag
-        if file_key in file_values:
-            return convert(file_values[file_key])
-        return None
-
-    seed = pick("seed", "seed", int)
-    reps = pick("reps", "reps", int)
-    jobs = pick("jobs", "jobs", int)
-    out = pick("out", "out", str)
-    alpha = pick("alpha", "alpha", float)
-    eve_layer = pick("eve_layer", "eve_layer", int)
-    control_mode = pick("control_mode", "control_mode", str)
-    eps_grid = pick("eps_grid", "eps_grid", str)
-    ne_grid = pick("ne_grid", "ne_grid", str)
-    nl_grid = pick("nl_grid", "nl_grid", str)
-
+def _sweep_config(args):
     return SweepConfig(
         experiment=_COMMANDS[args.command],
-        eps_grid=_grid("eps_grid", eps_grid, float),
-        ne_grid=_grid("ne_grid", ne_grid, int),
-        nl_grid=_grid("nl_grid", nl_grid, int),
-        alpha_grid=(float(alpha),) if alpha is not None else (),
-        repetitions=reps if reps is not None else DEFAULT_REPETITIONS,
-        base_seed=seed if seed is not None else DEFAULT_BASE_SEED,
-        output_path=out,
-        jobs=jobs if jobs is not None else (os.cpu_count() or 1),
-        eve_layer=eve_layer,
-        control_mode=control_mode,
+        eps_grid=_grid("eps_grid", args.eps_grid, float),
+        ne_grid=_grid("ne_grid", args.ne_grid, int),
+        nl_grid=_grid("nl_grid", args.nl_grid, int),
+        alpha_grid=() if args.alpha is None else (args.alpha,),
+        repetitions=args.reps,
+        base_seed=args.seed,
+        output_path=args.out,
+        jobs=args.jobs,
+        eve_layer=args.eve_layer,
+        control_mode=args.control_mode,
     )
 
 
@@ -183,11 +180,18 @@ def _keep_freed_heap():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = _joined(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
     _keep_freed_heap()
     try:
-        config = _merged(args)
-        rows, path = run_and_write(config)
+        if args.config:
+            # the file's settings go first, so a flag in argv wins
+            at = argv.index(args.command) + 1
+            file_flags = [f"--{key.replace('_', '-')}={value}"
+                          for key, value in parse_config_file(args.config).items()]
+            args = parser.parse_args(argv[:at] + file_flags + argv[at:])
+        rows, path = run_and_write(_sweep_config(args))
     except (ValueError, OSError) as exc:
         print(f"qdleak: configuration error: {exc}", file=sys.stderr)
         return 2

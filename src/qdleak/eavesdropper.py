@@ -7,7 +7,8 @@ equal-prior Helstrom bound p = 1/2 + 1/2 ||rho0/2 - rho1/2||_1; partial
 access is modeled either as a random rank-2^k subspace her antenna
 resolves (optimal measurement inside, fair coin outside;
 nested_control_pguess) or as access to a subset of the layer's qubits
-(subset_pguess).
+(subset_pguess). Full access is the antenna bound 1/2 + 1/2 ||V^† Delta V||_1
+with V = I, so helstrom_pguess and subspace_pguess share one kernel.
 
 A reduced layer state of the simulation has rank at most the dimension of
 the rest of the system, often far below the layer's. When both states carry
@@ -53,56 +54,53 @@ def _signed_factor(rho0, rho1, dim):
     return b, signs
 
 
-def _signed_gram_norm(c, signs):
-    """||C diag(J) C^†||_1 through an r x r matrix when C has more rows than columns.
+def _pguess(rho0, rho1, frame):
+    """1/2 + 1/2 ||V^† Delta V||_1 of Delta = rho0/2 - rho1/2; frame None is V = I.
 
-    With C = Q R, C J C^† = Q (R J R^†) Q^† has the eigenvalues of R J R^†.
+    When both states carry factors of r0 + r1 < dim columns (reduced pure
+    states do), the norm is taken in their span: V^† Delta V = C J C^† with
+    C = V^† B, and C = Q R gives the trace norm of the r x r matrix R J R^†
+    (C itself when it has no more rows than columns). Otherwise Delta is
+    formed densely.
     """
+    r0, r1 = _states(rho0, rho1)
+    v = None if frame is None else np.asarray(frame, dtype=complex)
+    if v is not None and v.shape[0] != r0.shape[0]:
+        raise ValueError("isometry row dimension must match the states")
+    low_rank = _signed_factor(rho0, rho1, r0.shape[0])
+    if low_rank is None:
+        delta = 0.5 * r0 - 0.5 * r1
+        if v is not None:
+            delta = v.conj().T @ delta @ v
+        return 0.5 + 0.5 * trace_norm(delta)
+    c, signs = low_rank
+    if v is not None:
+        # (B^† V)^† conjugates the small B instead of V
+        c = (c.conj().T @ v).conj().T
     if c.shape[0] > c.shape[1]:
         c = np.linalg.qr(c, mode="r")
-    return trace_norm((c * signs) @ c.conj().T)
+    return 0.5 + 0.5 * trace_norm((c * signs) @ c.conj().T)
 
 
 def helstrom_pguess(rho0, rho1):
     """Optimal-measurement guessing probability with full layer access.
 
-    When both states carry factors of r0 + r1 < dim columns (reduced pure
-    states do), ||Delta||_1 of Delta = rho0/2 - rho1/2 is taken in their
-    span: Delta = B J B^† with B = Q R gives the trace norm of the r x r
-    matrix R J R^†. Otherwise Delta is formed densely.
+    The subspace bound of subspace_pguess on the whole layer (V = I), taken
+    in the span of the two states when their factors allow it.
     """
-    r0, r1 = _states(rho0, rho1)
-    low_rank = _signed_factor(rho0, rho1, r0.shape[0])
-    if low_rank is None:
-        return 0.5 + 0.5 * trace_norm(0.5 * r0 - 0.5 * r1)
-    return 0.5 + 0.5 * _signed_gram_norm(*low_rank)
+    return _pguess(rho0, rho1, None)
 
 
 def subspace_pguess(rho0, rho1, isometry):
     """Guessing probability when measurement is confined to a subspace.
 
     `isometry` is a (dim, r) matrix with orthonormal columns spanning the
-    accessible subspace. The optimal strategy measures the compression of
-    Delta = rho0/2 - rho1/2 inside the subspace and answers at random for
-    outcomes outside it, giving 1/2 + 1/2 ||V^† Delta V||_1.
-
-    On the low-rank route of helstrom_pguess the compression is
-    C J C^† with C = V^† B, whose trace norm comes from C itself when the
-    subspace is no larger than the states' span, and from C's R factor
-    otherwise.
+    accessible subspace, or None for the whole layer (helstrom_pguess). The
+    optimal strategy measures the compression of Delta = rho0/2 - rho1/2
+    inside the subspace and answers at random for outcomes outside it,
+    giving 1/2 + 1/2 ||V^† Delta V||_1.
     """
-    r0, r1 = _states(rho0, rho1)
-    v = np.asarray(isometry, dtype=complex)
-    if v.shape[0] != r0.shape[0]:
-        raise ValueError("isometry row dimension must match the states")
-    low_rank = _signed_factor(rho0, rho1, r0.shape[0])
-    if low_rank is None:
-        compressed = v.conj().T @ (0.5 * r0 - 0.5 * r1) @ v
-        return 0.5 + 0.5 * trace_norm(compressed)
-    b, signs = low_rank
-    # (B^† V)^† conjugates the small B instead of V
-    c = (b.conj().T @ v).conj().T
-    return 0.5 + 0.5 * _signed_gram_norm(c, signs)
+    return _pguess(rho0, rho1, isometry)
 
 
 def subset_pguess(rho0, rho1, subset):
@@ -141,7 +139,7 @@ def nested_control_pguess(rho0, rho1, ks, rng):
     Only the columns a proper rank 2^k < dim reads are orthonormalized
     (haar_unitary's `columns`, at least one, from the full draw). The full
     rank resolves the whole layer, where every orthonormal basis gives the
-    same value, so it reads the identity and equals helstrom_pguess.
+    same value, so it reads no frame and equals helstrom_pguess.
     """
     dim = _states(rho0, rho1)[0].shape[0]
     ks = sorted(set(int(k) for k in ks))
@@ -154,8 +152,7 @@ def nested_control_pguess(rho0, rho1, ks, rng):
         if k == 0:
             out[k] = 0.5
         else:
-            frame = u[:, : 2 ** k] if 2 ** k < dim else np.eye(dim, dtype=complex)
-            out[k] = subspace_pguess(rho0, rho1, frame)
+            out[k] = subspace_pguess(rho0, rho1, u[:, : 2 ** k] if 2 ** k < dim else None)
     return out
 
 

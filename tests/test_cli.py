@@ -268,15 +268,20 @@ def test_empty_grid_exits_2(args, conf, tmp_path, monkeypatch, capsys):
     ("conjecture-check", ["--nl-grid", "1,2"]),
 ])
 def test_negative_zero_names_the_zero_point(command, extra, tmp_path):
-    # seeds hash repr() of epsilon and alpha, and repr(-0.0) is not repr(0.0)
+    # seeds hash repr() of epsilon and alpha, and repr(-0.0) is not repr(0.0);
+    # "-0.0,0.5" given as a separate argument must still be read as the value
     base = [command, "--reps", "2", "--jobs", "1"] + extra
     paths = []
-    for zero in ("0.0", "-0.0"):
-        path = tmp_path / f"{zero}.csv"
-        alpha = [] if command == "decoherence-sweep" and zero == "0.0" else [f"--alpha={zero}"]
-        assert run_cli(base + [f"--eps-grid={zero},0.5", "--out", str(path)] + alpha) == 0
+    for zero, joined in (("0.0", True), ("-0.0", True), ("-0.0", False)):
+        path = tmp_path / f"{zero}{joined}.csv"
+        flags = [] if command == "decoherence-sweep" and zero == "0.0" else [("--alpha", zero)]
+        flags.append(("--eps-grid", f"{zero},0.5"))
+        args = []
+        for flag, value in flags:
+            args += [f"{flag}={value}"] if joined else [flag, value]
+        assert run_cli(base + args + ["--out", str(path)]) == 0
         paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
     assert "-0.0" not in paths[1].read_text(encoding="utf-8")
 
 
@@ -345,9 +350,10 @@ def cli_inputs(draw):
     argv = [command]
     lines = []
     for key, value in values.items():
+        flag = f"--{key.replace('_', '-')}"
         if draw(st.booleans()):
-            # the = form keeps argparse from reading "-0.0,1" as an option
-            argv.append(f"--{key.replace('_', '-')}={value}")
+            # "-0.0,1" or "-inf" is read as the value in either form
+            argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
         else:
             lines.append(f"{draw(st.sampled_from([key, key.replace('_', '-')]))} = {value}")
     if draw(st.integers(0, 4)) == 0:

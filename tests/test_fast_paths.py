@@ -19,7 +19,8 @@ must match the dense one on the bare matrices; a tall `orthonormalize_qr`
 must be the thin LAPACK QR with the phase fix, and the thin Haar frame
 (`haar_unitary(..., columns=c)`) the leading columns of the full one, so
 that `nested_control_pguess`, which orthonormalizes only the columns its
-proper ranks read, matches the antenna on the full unitary; the
+proper ranks read, matches the antenna on the full unitary, and the antenna
+with no frame is `helstrom_pguess` bit for bit; the
 Hadamard-basis scenario must be the Hadamard frame of the computational
 one, draw for draw. The references are written out here, not imported.
 """
@@ -556,6 +557,11 @@ def test_low_rank_helstrom_matches_dense(pair):
     want = helstrom_pguess(rho0.matrix, rho1.matrix)
     assert abs(got - want) <= 1e-12
     assert 0.5 <= got <= 1.0 + 1e-12
+    # full access is the antenna on the whole layer, on either route
+    for states in ((rho0, rho1), (rho0.matrix, rho1.matrix)):
+        assert subspace_pguess(*states, None) == helstrom_pguess(*states)
+        with pytest.raises(ValueError):
+            subspace_pguess(*states, np.eye(2 * rho0.dim, 1))
 
 
 @PROPERTY
@@ -611,7 +617,7 @@ def test_thin_antenna_matches_the_full_frame(case, seed):
         for k in ks:
             assert abs(got[k] - want[k]) <= 1e-12, k
         if full_rank in ks:
-            # the whole layer is read in the identity frame
+            # the whole layer is read with no frame, as helstrom_pguess reads it
             assert got[full_rank] == helstrom_pguess(*pair)
 
 
