@@ -2,11 +2,11 @@
 
     qdleak <experiment> [flags]
 
-with experiments decoherence-sweep, pguess-vs-epsilon, partial-control-table,
-layers-table and conjecture-check. Every flag can also be given in a flat
-key = value config file (--config), whose entries are parsed as flags placed
-before the command line's own, so a flag overrides the file. Exit codes:
-0 success, 2 configuration/argument error, 3 numerical contract violation.
+where <experiment> is an experiments.EXPERIMENTS name with "-" for "_".
+Flags are spelt in full. Every flag can also be given in a flat key = value
+config file (--config), whose entries are parsed as flags placed before the
+command line's own, so a flag overrides the file. Exit codes: 0 success,
+2 configuration/argument error, 3 numerical contract violation.
 """
 
 import argparse
@@ -17,17 +17,12 @@ from .errors import QDLeakError
 from .experiments import (
     DEFAULT_BASE_SEED,
     DEFAULT_REPETITIONS,
+    EXPERIMENTS,
     SweepConfig,
     run_and_write,
 )
 
-_COMMANDS = {
-    "decoherence-sweep": "decoherence_sweep",
-    "pguess-vs-epsilon": "pguess_vs_epsilon",
-    "partial-control-table": "partial_control_table",
-    "layers-table": "layers_table",
-    "conjecture-check": "conjecture_check",
-}
+_COMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
 
 _CONFIG_KEYS = ("seed", "reps", "jobs", "out", "alpha", "eve_layer",
                 "control_mode", "eps_grid", "ne_grid", "nl_grid")
@@ -65,12 +60,13 @@ def _add_common_flags(parser):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="qdleak",
+        prog="qdleak", allow_abbrev=False,
         description="Seed-averaged simulations of key-bit leakage through a "
                     "layered decohering environment; results land in CSV files.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
-        sp = sub.add_parser(command, help=f"run the {command.replace('-', ' ')} experiment")
+        sp = sub.add_parser(command, allow_abbrev=False,
+                            help=f"run the {command.replace('-', ' ')} experiment")
         _add_common_flags(sp)
     return parser
 

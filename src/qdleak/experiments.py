@@ -23,7 +23,6 @@ import csv
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -48,14 +47,6 @@ from .model import (
     ScenarioSpec,
     decoherence_factor,
     run_exchange_pair,
-)
-
-EXPERIMENTS = (
-    "decoherence_sweep",
-    "pguess_vs_epsilon",
-    "partial_control_table",
-    "layers_table",
-    "conjecture_check",
 )
 
 DEFAULT_BASE_SEED = 101
@@ -199,8 +190,10 @@ class _Sweep:
 
     axes: the CSV columns its rows vary over, in row-seed order; the grids
     of the other columns hold one value, and the `pinned` ones only their
-    default. devices(config): (rep, mode, basis, eve_layer) of every device
-    a point averages over, in averaging order. measure(config, spec):
+    default. defaults: the value of each unset SweepConfig field; a
+    control_mode is refused where none is listed. devices(config): (rep,
+    mode, basis, eve_layer) of every device a point averages over, in
+    averaging order. measure(config, spec):
     {(controlled_qubits, statistic): value} of one device; a None value
     makes that row a skipped one.
     """
@@ -229,11 +222,15 @@ _SWEEPS = {
         _eavesdropped_devices, _pguess),
     "partial_control_table": _Sweep(
         ("epsilon", "qubits_per_layer", "controlled_qubits"),
-        dict(eps_grid=(0.0,), ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,), alpha_grid=(0.0,)),
+        dict(eps_grid=(0.0,), ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,), alpha_grid=(0.0,),
+             control_mode="rank"),
         _eavesdropped_devices, _partial_control, skip_reason="k_out_of_range"),
+    # The published multi-layer table reads the first layer: it is hit by
+    # the first interlayer projector pair and untouched afterwards.
     "layers_table": _Sweep(
         ("epsilon", "n_layers"),
-        dict(eps_grid=(0.5, 0.7, 0.9), ne_grid=(2,), nl_grid=(1, 2, 3), alpha_grid=(0.0,)),
+        dict(eps_grid=(0.5, 0.7, 0.9), ne_grid=(2,), nl_grid=(1, 2, 3), alpha_grid=(0.0,),
+             eve_layer=1),
         _eavesdropped_devices, _pguess),
     "conjecture_check": _Sweep(
         ("epsilon", "alpha", "n_layers"),
@@ -243,30 +240,25 @@ _SWEEPS = {
         pinned=("ne_grid",)),
 }
 
+EXPERIMENTS = tuple(_SWEEPS)
+
 
 def resolve_config(config):
-    """Fill empty grids and settings with the experiment's documented defaults.
+    """Fill each unset setting with the experiment's default.
 
-    Raises ValueError for a fixed grid with more than one value, for a
-    pinned grid off its default, and for an eve_layer or control_mode the
-    experiment does not read.
+    A setting is unset when it is None or an empty grid; any other value,
+    0 included, stays as given. Raises ValueError for a fixed grid with
+    more than one value, for a pinned grid off its default, for an
+    eve_layer on an experiment without an eavesdropper and for a
+    control_mode on one whose defaults hold none.
     """
     sweep = _SWEEPS[config.experiment]
     if config.eve_layer is not None and sweep.devices is not _eavesdropped_devices:
         raise ValueError(f"{config.experiment} has no eavesdropper to set eve_layer for")
-    if config.control_mode is not None and config.experiment != "partial_control_table":
-        raise ValueError(f"control_mode applies to partial_control_table only, "
-                         f"not to {config.experiment}")
-    updates = {}
-    for name, value in sweep.defaults.items():
-        if not getattr(config, name):
-            updates[name] = value
-    if config.experiment == "layers_table" and config.eve_layer is None:
-        # The published multi-layer table reads the first layer: it is hit
-        # by the first interlayer projector pair and untouched afterwards.
-        updates["eve_layer"] = 1
-    if config.experiment == "partial_control_table" and config.control_mode is None:
-        updates["control_mode"] = "rank"
+    if config.control_mode is not None and "control_mode" not in sweep.defaults:
+        raise ValueError(f"{config.experiment} has no control_mode to set")
+    updates = {name: value for name, value in sweep.defaults.items()
+               if getattr(config, name) in (None, ())}
     resolved = replace(config, **updates) if updates else config
     for grid, column in _GRID_COLUMNS.items():
         values = getattr(resolved, grid)
@@ -433,6 +425,7 @@ def run_experiment(config):
     workers = pool_size(config.jobs, len(points), os.cpu_count())
     with _one_blas_thread():
         if workers > 1:
+            import multiprocessing
             with multiprocessing.Pool(workers) as pool:
                 chunks = pool.map(bound, points)
         else:
@@ -469,19 +462,19 @@ def write_csv(rows, path):
 def run_and_write(config):
     """Run a sweep and write its CSV; returns (rows, path).
 
-    Raises ValueError before any point runs when the path is empty, is a
-    directory or names a directory that does not exist, and OSError when
-    write_csv's temporary file cannot be created next to it (the probe
-    creates and removes it). Only a path of None means the default
-    `<experiment>.csv`.
+    Raises ValueError before any point runs when the path is empty, exists
+    but is no regular file (write_csv's rename would replace a directory,
+    FIFO or device node) or names a directory that does not exist, and
+    OSError when write_csv's temporary file cannot be created next to it
+    (the probe creates and removes it). None means `<experiment>.csv`.
     """
     path = config.output_path
     if path is None:
         path = f"{config.experiment}.csv"
     elif not path:
         raise ValueError("output path is empty")
-    if os.path.isdir(path):
-        raise ValueError(f"output path {path!r} is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"output path {path!r} exists but is not a regular file")
     if not os.path.isdir(os.path.dirname(path) or os.curdir):
         raise ValueError(f"the directory of output path {path!r} does not exist")
     probe = _temp_path(path)

@@ -23,7 +23,6 @@ the dimension, which the eavesdropper's discrimination uses.
 """
 
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +128,9 @@ def partial_trace(rho, dims, keep):
     Returns
     -------
     (d, d) array with d = prod(dims[i] for i in keep).
+
+    Rows and columns are ordered kept-then-traced and reshaped to
+    (d, D/d, d, D/d); the trace over axes 1 and 3 sums out the rest.
     """
     rho = _as_complex(rho)
     dims = list(dims)
@@ -142,15 +144,10 @@ def partial_trace(rho, dims, keep):
     if rho.shape != (total, total):
         raise ValueError(f"rho shape {rho.shape} does not match dims {dims}")
 
-    letters = string.ascii_lowercase + string.ascii_uppercase
-    if 2 * n > len(letters):
-        raise ValueError("too many subsystems for einsum-based partial trace")
-    row = list(letters[:n])
-    col = [letters[n + i] if i in keep else row[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    spec = "".join(row) + "".join(col) + "->" + out
+    order = keep + [i for i in range(n) if i not in keep]
     d = int(np.prod([dims[i] for i in keep]))
-    return np.einsum(spec, rho.reshape(dims + dims)).reshape(d, d)
+    blocks = rho.reshape(dims + dims).transpose(order + [n + i for i in order])
+    return np.trace(blocks.reshape(d, total // d, d, total // d), axis1=1, axis2=3)
 
 
 def _schmidt_factor(amplitudes, dims, keep):

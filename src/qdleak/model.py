@@ -112,10 +112,8 @@ def _frozen(a):
     return a
 
 
-# fixed parts of every chain, shared read-only: the first link's source
-# projectors and the identity factor of each qubit's branch-0 conditional
+# the first link's source projectors, fixed for every chain and shared read-only
 _COMPUTATIONAL_PROJECTORS = tuple(_frozen(p) for p in basis_projectors(COMPUTATIONAL))
-_IDENTITY_2 = _frozen(np.eye(2, dtype=complex))
 
 # entries of the state |e0><e0| of every fresh environment qubit, e0 the
 # basis's first pointer state
@@ -213,25 +211,24 @@ class ExchangeOutcome:
 
 @dataclass(frozen=True)
 class ChainLink:
-    """One hop of the interaction chain.
+    """One hop of the interaction chain: only what the link draws.
 
-    The link operator is projectors[0] (x) conditionals[0] +
-    projectors[1] (x) conditionals[1], acting on source then target qubits.
-    factors holds the per-qubit 2x2 factors of each conditional, which is a
-    qubit-wise product.
+    The link operator is projectors[0] (x) I + projectors[1] (x) rotation,
+    acting on source then target qubits: branch 0 leaves the target alone,
+    branch 1 rotates it. rotation is the qubit-wise product of the 2x2
+    factors, one per target qubit.
     """
 
     source: tuple
     target: tuple
     projectors: tuple
-    conditionals: tuple
+    rotation: np.ndarray
     factors: tuple
 
     def operator(self):
         p0, p1 = self.projectors
-        u0, u1 = self.conditionals
-        op = kron(p0, u0)
-        op += kron(p1, u1)
+        op = kron(p0, np.eye(len(self.rotation), dtype=complex))
+        op += kron(p1, self.rotation)
         return op
 
 
@@ -268,9 +265,9 @@ def build_interaction_chain(spec, rng):
     """Ordered links A->E1, E1->E2, ..., E_{n-1}->E_n for a scenario.
 
     Analytic mode uses the fixed pair (identity, q_prime) and the basis
-    projectors everywhere. Haar mode draws, per link, a conditional rotation
-    of the target layer (branch 0 is the identity, branch 1 a per-qubit
-    product of noisy unitaries) and, for interior links, a random
+    projectors everywhere. Haar mode draws, per link, the rotation of the
+    target layer's branch 1 (a per-qubit product of noisy unitaries; branch
+    0 is the identity) and, for interior links, a random
     complementary projector pair of half the layer dimension on the source.
     All operators are drawn in the computational frame and conjugated by
     Hadamards when the scenario basis is hadamard, which makes the two bases
@@ -292,26 +289,24 @@ def build_interaction_chain(spec, rng):
             p0, p1 = random_complementary_projectors(
                 spec.layer_dim, spec.layer_dim // 2, rng)
 
-        ident = np.eye(spec.layer_dim, dtype=complex)
         if spec.mode == MODE_ANALYTIC:
-            factors1 = [q_prime(spec.epsilon, spec.alpha)]
-            u1 = factors1[0]
+            factors = [q_prime(spec.epsilon, spec.alpha)]
+            rotation = factors[0]
         else:
-            factors1 = [_noisy_qubit_unitary(spec.epsilon, rng) for _ in range(ne)]
-            u1 = kron_all(factors1)
+            factors = [_noisy_qubit_unitary(spec.epsilon, rng) for _ in range(ne)]
+            rotation = kron_all(factors)
 
         if had:
             p0 = _conjugate_all(p0, len(source))
             p1 = _conjugate_all(p1, len(source))
-            factors1 = [_conjugate_all(f, 1) for f in factors1]
+            factors = [_conjugate_all(f, 1) for f in factors]
             # replaces the computational-frame product, which is still built:
             # perfbench's traced kron counts (_chain_calls) include it
-            u1 = kron_all(factors1)
+            rotation = kron_all(factors)
 
-        factors = ((_IDENTITY_2,) * ne, tuple(factors1))
         links.append(ChainLink(
             source=source, target=target, projectors=(p0, p1),
-            conditionals=(ident, u1), factors=factors))
+            rotation=rotation, factors=tuple(factors)))
     return links
 
 
@@ -425,15 +420,15 @@ def decoherence_factor(spec, params):
 
     over the first floor((1-f)*M) qubits. 1 means no decoherence (epsilon=1),
     0 full decoherence. The chain is drawn from spec.seed. U0_k is the
-    identity, so gamma_k = Tr(rho0 U1_k^dagger) = sum_ij rho0_ij conj(U1_k,ij),
-    read from the 2x2 entries; the whole chain is still built.
+    identity and U1_k = link.factors[k], so gamma_k = sum_ij rho0_ij
+    conj(U1_k,ij), read from the 2x2 entries; the whole chain is still built.
     """
     _check_rejected_setup(spec, params)
     link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
     used = params.used_qubits(spec.qubits_per_layer)
     (r00, r01), (r10, r11) = _FRESH_QUBIT[spec.basis]
     gammas = []
-    for f1 in link.factors[1][:used]:
+    for f1 in link.factors[:used]:
         (a, b), (c, d) = f1.tolist()
         gammas.append(r00 * a.conjugate() + r01 * b.conjugate()
                       + r10 * c.conjugate() + r11 * d.conjugate())
@@ -459,11 +454,9 @@ def decoherence_factor_from_state(spec, params):
 
     pm_alpha = 0.0 if spec.mode == MODE_ANALYTIC else spec.alpha
     k0, k1 = basis_states(spec.basis)
-    sys = (k0 + k1) / np.sqrt(2.0)  # uniform pointer superposition
-    env0 = basis_states(spec.basis)[0]
-    amp = sys
+    amp = (k0 + k1) / np.sqrt(2.0)  # uniform pointer superposition
     for _ in range(spec.n_qubits - 1):
-        amp = np.kron(amp, env0)
+        amp = np.kron(amp, k0)
     state = StateVector(amp, spec.qubit_dims)
     state = state.apply(build_premeasurement(spec.basis, pm_alpha), (0, 1))
     link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
@@ -471,7 +464,7 @@ def decoherence_factor_from_state(spec, params):
 
     rho_sa = state.reduced((0, 1)).matrix
     cond = cx(pm_alpha) if spec.basis == COMPUTATIONAL else cz(pm_alpha)
-    branches = [np.kron(k0, env0), np.kron(k1, cond @ env0)]
+    branches = [np.kron(k0, k0), np.kron(k1, cond @ k0)]
     gamma = 0.0
     for i in (0, 1):
         for j in (0, 1):

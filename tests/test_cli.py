@@ -4,6 +4,9 @@ import contextlib
 import ctypes
 import io
 import os
+import stat
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 
 from qdleak import cli, experiments
 from qdleak.errors import ContractError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args):
@@ -86,6 +91,9 @@ def test_invalid_scenario_returns_2(tmp_path, capsys):
     ["pguess-vs-epsilon", "--control-mode", "rank"],
     # a grid that repeats a value would compute and write the point twice
     ["layers-table", "--eps-grid", "0.5", "--nl-grid", "1,1"],
+    # an abbreviated flag is refused by argparse, whatever its value
+    ["pguess-vs-epsilon", "--eps", "0.5"],
+    ["pguess-vs-epsilon", "--eps", "-0.0,0.5"],
 ])
 def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
     def no_scenario(**kwargs):
@@ -93,8 +101,13 @@ def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(experiments, "ScenarioSpec", no_scenario)
     out = tmp_path / "x.csv"
-    assert run_cli(args + ["--reps", "1", "--jobs", "1", "--out", str(out)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    try:
+        code = run_cli(args + ["--reps", "1", "--jobs", "1", "--out", str(out)])
+        message = "configuration error"
+    except SystemExit as exc:
+        code, message = exc.code, f"unrecognized arguments: {' '.join(args[1:])}"
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -104,6 +117,8 @@ def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
     ["pguess-vs-epsilon", "--alpha", "nan", "--eps-grid", "0.5", "--ne-grid", "3"],
     ["conjecture-check", "--alpha", "nan", "--eps-grid", "0.5", "--nl-grid", "3"],
     ["pguess-vs-epsilon", "--alpha", "inf", "--eps-grid", "0.5", "--ne-grid", "3"],
+    # 0 is a value, not an unset eve_layer to fill with the default 1
+    ["layers-table", "--eve-layer", "0"],
 ])
 def test_bad_grid_point_rejected_before_any_point_runs(args, tmp_path, monkeypatch, capsys):
     def no_exchange(spec):
@@ -116,17 +131,22 @@ def test_bad_grid_point_rejected_before_any_point_runs(args, tmp_path, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+@pytest.mark.parametrize("out", ["missing/x.csv", ".", "fifo"])
 def test_bad_output_path_rejected_before_any_point_runs(out, tmp_path, monkeypatch, capsys):
     def no_exchange(spec):
         raise AssertionError("a grid point ran")
 
     monkeypatch.setattr(experiments, "run_exchange_pair", no_exchange)
+    if out == "fifo":
+        # a node that exists but is no regular file: the rename would replace it
+        os.mkfifo(tmp_path / out)
     args = ["pguess-vs-epsilon", "--eps-grid", "0.5", "--ne-grid", "3", "--reps", "30",
             "--jobs", "1", "--out", str(tmp_path / out)]
     assert run_cli(args) == 2
     assert "output path" in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+    if out == "fifo":
+        assert stat.S_ISFIFO(os.lstat(tmp_path / out).st_mode)
 
 
 def test_unwritable_output_directory_exits_2_before_any_point_runs(tmp_path, monkeypatch,
@@ -171,6 +191,17 @@ def test_empty_output_path_exits_2(out_flag, conf, tmp_path, monkeypatch, capsys
     assert run_cli(args) == 2
     assert "output path is empty" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a --jobs pool needs it; a fresh interpreter sees what the import pulls in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qdleak.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_numerical_contract_violation_returns_3(monkeypatch, capsys):

@@ -68,6 +68,8 @@ def test_resolve_config_fills_documented_defaults():
                                         eps_grid=(0.5,), eve_layer=2))
     assert custom.eps_grid == (0.5,)
     assert custom.eve_layer == 2
+    # only None or an empty grid is unset: 0 is kept, for the scenario to refuse
+    assert resolve_config(SweepConfig(experiment="layers_table", eve_layer=0)).eve_layer == 0
 
 
 def test_sweep_config_validation():

@@ -241,20 +241,19 @@ def test_hadamard_conditional_is_the_dense_conjugate(ne, nl, eps, seed):
     had = build_interaction_chain(replace(spec, basis=HADAMARD), np.random.default_rng(seed))
     h = hadamard_power(ne)
     for c, d in zip(comp, had):
-        assert np.max(np.abs(d.conditionals[1] - h @ c.conditionals[1] @ h)) <= 1e-12
-        for fc, fd in zip(c.factors[1], d.factors[1]):
+        assert np.max(np.abs(d.rotation - h @ c.rotation @ h)) <= 1e-12
+        for fc, fd in zip(c.factors, d.factors):
             assert np.max(np.abs(fd - HADAMARD_GATE @ fc @ HADAMARD_GATE)) <= 1e-15
 
 
 # -------------------------------------------------- decoherence_factor
 
 def matmul_decoherence_factor(spec):
-    """prod_k |Tr(f0_k rho0 f1_k^dagger)| over the first link's factors."""
+    """prod_k |Tr(I rho0 f_k^dagger)| over the first link's factors."""
     link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
     env0 = basis_states(spec.basis)[0]
     rho0 = np.outer(env0, env0.conj())
-    gammas = [np.trace(f0 @ rho0 @ f1.conj().T)
-              for f0, f1 in zip(link.factors[0], link.factors[1])]
+    gammas = [np.trace(np.eye(2) @ rho0 @ f.conj().T) for f in link.factors]
     return float(np.prod([abs(g) for g in gammas]))
 
 

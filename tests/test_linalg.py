@@ -5,6 +5,9 @@ Derived expectations are computed by independent oracles inside this file
 never by the code under test.
 """
 
+import itertools
+import string
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,32 @@ def test_partial_trace_index_out_of_range():
         partial_trace(rho, (2, 2), {2})
     with pytest.raises(ValueError):
         partial_trace(rho, (2, 2), set())
+
+
+def einsum_partial_trace(rho, dims, keep):
+    """The einsum form partial_trace replaced, frozen as its reference."""
+    n = len(dims)
+    letters = string.ascii_lowercase + string.ascii_uppercase
+    row = list(letters[:n])
+    col = [letters[n + i] if i in keep else row[i] for i in range(n)]
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    d = int(np.prod([dims[i] for i in keep]))
+    return np.einsum("".join(row) + "".join(col) + "->" + out,
+                     rho.reshape(dims + dims)).reshape(d, d)
+
+
+@pytest.mark.parametrize("dims", [(2,) * n for n in range(1, 8)]
+                         + [(2, 3, 2), (3, 3), (2, 2, 3, 2), (4, 2, 3), (5,)])
+def test_partial_trace_is_bit_identical_to_einsum(dims):
+    rng = np.random.default_rng(len(dims))
+    dim = int(np.prod(dims))
+    rho = random_density(dim, rng)
+    for size in range(1, len(dims) + 1):
+        for keep in itertools.combinations(range(len(dims)), size):
+            got = partial_trace(rho, dims, keep)
+            ref = einsum_partial_trace(rho, list(dims), list(keep))
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (dims, keep)
 
 
 def test_reduced_density_matches_partial_trace():

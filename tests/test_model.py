@@ -192,9 +192,9 @@ def test_haar_chain_is_identity_at_full_damping():
     spec = haar_spec(epsilon=1.0, n_layers=2, qubits_per_layer=2)
     links = build_interaction_chain(spec, np.random.default_rng(5))
     for link in links:
-        u0, u1 = link.conditionals
-        np.testing.assert_allclose(u0, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(u1, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(link.rotation, np.eye(4), atol=1e-12)
+        op = link.operator()
+        np.testing.assert_allclose(op, np.eye(len(op)), atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(50))
