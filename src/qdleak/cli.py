@@ -15,6 +15,7 @@ import sys
 
 from .errors import QDLeakError
 from .experiments import (
+    CONTROL_MODES,
     DEFAULT_BASE_SEED,
     DEFAULT_REPETITIONS,
     EXPERIMENTS,
@@ -47,7 +48,7 @@ def _add_common_flags(parser):
                         help="1-based layer the eavesdropper reads (default: last; "
                              "layers-table defaults to 1); not accepted by "
                              "decoherence-sweep and conjecture-check")
-    parser.add_argument("--control-mode", choices=("rank", "subset"),
+    parser.add_argument("--control-mode", choices=CONTROL_MODES,
                         help="partial-control model (default rank); "
                              "partial-control-table only")
     parser.add_argument("--eps-grid", metavar="LIST",

@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 
 import numpy as np
@@ -45,6 +45,7 @@ from .model import (
     MODE_HAAR,
     DecoherenceFactorParams,
     ScenarioSpec,
+    _integer,
     decoherence_factor,
     run_exchange_pair,
 )
@@ -52,11 +53,11 @@ from .model import (
 DEFAULT_BASE_SEED = 101
 DEFAULT_REPETITIONS = 200
 
-CSV_HEADER = (
-    "experiment", "epsilon", "alpha", "n_layers", "qubits_per_layer",
-    "controlled_qubits", "statistic", "mean", "std", "repetitions", "seed",
-    "skip_reason",
-)
+# partial-control models: the antenna's nested random ranks, or the first
+# k qubits of the layer
+CONTROL_RANK = "rank"
+CONTROL_SUBSET = "subset"
+CONTROL_MODES = (CONTROL_RANK, CONTROL_SUBSET)
 
 # Table of control percentages: 100 / 2**j, j = 0..6. A cell is feasible
 # when the implied rank 2**k has k >= 1.
@@ -91,7 +92,11 @@ def control_seed(seed_of_scenario):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid, averaging and output settings for one experiment run."""
+    """Grid, averaging and output settings for one experiment run.
+
+    The integer settings and the ne/nl grid entries take Python or numpy
+    integers; anything else, 3.0 included, raises ValueError.
+    """
 
     experiment: str
     eps_grid: tuple = ()
@@ -109,18 +114,23 @@ class SweepConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
+        for name in ("repetitions", "base_seed", "jobs", "eve_layer"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integer(name, value))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.control_mode not in (None, "rank", "subset"):
-            raise ValueError("control_mode must be 'rank' or 'subset'")
+        if self.control_mode not in (None, *CONTROL_MODES):
+            raise ValueError(f"control_mode must be one of {CONTROL_MODES}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not 0 <= self.base_seed < 2 ** 64:
             raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         # + 0.0 turns -0.0 into 0.0: both name one point, whose seeds hash repr()
         object.__setattr__(self, "eps_grid", tuple(float(e) + 0.0 for e in self.eps_grid))
-        object.__setattr__(self, "ne_grid", tuple(int(n) for n in self.ne_grid))
-        object.__setattr__(self, "nl_grid", tuple(int(n) for n in self.nl_grid))
+        for grid in ("ne_grid", "nl_grid"):
+            values = tuple(_integer(grid, n) for n in getattr(self, grid))
+            object.__setattr__(self, grid, values)
         object.__setattr__(self, "alpha_grid", tuple(float(a) + 0.0 for a in self.alpha_grid))
         # NaN fails both comparisons, so this also rejects non-finite values
         if not all(0.0 <= e <= 1.0 for e in self.eps_grid):
@@ -142,7 +152,7 @@ def _partial_control(config, spec):
     ks = [k for k in ranks if k >= 1]
     out0, out1 = run_exchange_pair(spec)
     rho0, rho1 = out0.rho_eve_layer, out1.rho_eve_layer
-    if config.control_mode == "rank":
+    if config.control_mode == CONTROL_RANK:
         rng = np.random.default_rng(control_seed(spec.seed))
         per_k = nested_control_pguess(rho0, rho1, ks, rng)
     else:
@@ -190,12 +200,12 @@ class _Sweep:
 
     axes: the CSV columns its rows vary over, in row-seed order; the grids
     of the other columns hold one value, and the `pinned` ones only their
-    default. defaults: the value of each unset SweepConfig field; a
-    control_mode is refused where none is listed. devices(config): (rep,
-    mode, basis, eve_layer) of every device a point averages over, in
-    averaging order. measure(config, spec):
-    {(controlled_qubits, statistic): value} of one device; a None value
-    makes that row a skipped one.
+    default (a pinned alpha_grid leaves the alpha column empty). defaults:
+    the value of each unset SweepConfig field; a control_mode is refused
+    where none is listed. devices(config): (rep, mode, basis, eve_layer) of
+    every device a point averages over, in averaging order. measure(config,
+    spec): {(controlled_qubits, statistic): value} of one device; a None
+    value makes that row a skipped one.
     """
 
     axes: tuple
@@ -204,7 +214,6 @@ class _Sweep:
     measure: object
     skip_reason: str = ""
     pinned: tuple = ()
-    reports_alpha: bool = True
 
 
 _EPS_TENTHS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -214,7 +223,7 @@ _SWEEPS = {
         ("epsilon", "qubits_per_layer"),
         dict(eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0), ne_grid=(1, 2, 3, 4, 5, 6, 7),
              nl_grid=(1,), alpha_grid=(0.0,)),
-        _rejected_round_devices, _gamma, pinned=("alpha_grid",), reports_alpha=False),
+        _rejected_round_devices, _gamma, pinned=("alpha_grid",)),
     "pguess_vs_epsilon": _Sweep(
         ("epsilon", "qubits_per_layer"),
         dict(eps_grid=_EPS_TENTHS, ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,),
@@ -223,7 +232,7 @@ _SWEEPS = {
     "partial_control_table": _Sweep(
         ("epsilon", "qubits_per_layer", "controlled_qubits"),
         dict(eps_grid=(0.0,), ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,), alpha_grid=(0.0,),
-             control_mode="rank"),
+             control_mode=CONTROL_RANK),
         _eavesdropped_devices, _partial_control, skip_reason="k_out_of_range"),
     # The published multi-layer table reads the first layer: it is hit by
     # the first interlayer projector pair and untouched afterwards.
@@ -294,11 +303,12 @@ class ResultRow:
         return [fmt(getattr(self, name)) for name in CSV_HEADER]
 
     def sort_key(self):
-        def key(x):
-            return -math.inf if x is None else x
-        return (self.experiment, key(self.epsilon), key(self.alpha),
-                key(self.n_layers), key(self.qubits_per_layer),
-                key(self.controlled_qubits), self.statistic)
+        """The columns up to the statistic, a None before any number."""
+        values = (getattr(self, name) for name in CSV_HEADER[:7])
+        return tuple(-math.inf if x is None else x for x in values)
+
+
+CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def _mean_std(values):
@@ -332,7 +342,7 @@ def _grid_point_job(config, point):
     rows = []
     for (controlled, statistic), values in samples.items():
         columns = dict(zip(_GRID_COLUMNS.values(), point), controlled_qubits=controlled)
-        if not sweep.reports_alpha:
+        if "alpha_grid" in sweep.pinned:
             columns["alpha"] = None
         seed = row_seed(*(columns[axis] for axis in sweep.axes))
         skipped = None in values

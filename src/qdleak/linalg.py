@@ -10,9 +10,12 @@ in scalar arithmetic that reproduces numpy's complex rules bit for bit.
 kron fills a large-times-small product by strided multiplies, which keeps
 it bit-identical to np.kron. Larger QRs, square or tall, test their rank
 on the R they compute, with no separate SVD, and a Haar draw of which only
-the leading columns are read orthonormalizes only those. An operator on an
-adjacent run of subsystems is one matrix product, with no axis permutation
-of the state, and a reduction to such a run reshapes the same way.
+the leading columns are read orthonormalizes only those. Operators act
+on, and pure states reduce to, only an ascending run of adjacent
+subsystems, which is what every link and layer is: one reshape isolates
+the run, so an operator is one matrix product with no axis permutation of
+the state, and any other order raises ValueError. partial_trace keeps any
+subset.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
 
@@ -58,12 +61,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def _as_complex(a):
     return np.asarray(a, dtype=complex)
-
-
-def is_hermitian(m):
-    m = _as_complex(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and \
-        np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL
 
 
 def check_dim(dim):
@@ -155,34 +152,33 @@ def _schmidt_factor(amplitudes, dims, keep):
 
     Row i holds the amplitudes of kept basis state i against every basis
     state of the rest, so F's column count bounds the reduced state's rank.
-    An ascending run k0..k0+n-1 of kept subsystems takes apply_unitary's
-    single reshape of the amplitudes to (left, d, right); other sets move
-    their axes to the front. Both order the rest's axes as they stand, so
-    they give the same bits.
+    The kept subsystems must form a run k0..k0+n-1 of adjacent ones (in any
+    listed order; ValueError otherwise), so one reshape of the amplitudes to
+    (left, d, right) isolates them, as in apply_unitary.
     """
     amp = _as_complex(amplitudes).reshape(-1)
     dims = list(dims)
     keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= len(dims):
+    k0, k1 = keep[0], keep[-1] + 1
+    if k0 < 0 or k1 > len(dims):
         raise ValueError("subsystem index out of range")
-    d = math.prod(dims[i] for i in keep)
-    k0 = keep[0]
-    if keep == list(range(k0, k0 + len(keep))):
-        left = math.prod(dims[:k0])
-        return amp.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
-    moved = np.moveaxis(amp.reshape(dims), keep, range(len(keep)))
-    return moved.reshape(d, -1)
+    if k1 - k0 != len(keep):
+        raise ValueError(f"keep {keep} is not a run of adjacent subsystems")
+    d = math.prod(dims[k0:k1])
+    left = math.prod(dims[:k0])
+    return amp.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
 
 
 def reduced_density(amplitudes, dims, keep, *, factor=None):
     """Reduced density matrix of a pure state, without forming the full rho.
 
     Equivalent to partial_trace(outer(psi, psi*), dims, keep) but costs
-    O(D * d) instead of O(D**2). A caller that already holds the state's
-    Schmidt factor over `keep` passes it as `factor`, and it is used instead
-    of being formed again.
+    O(D * d) instead of O(D**2); `keep` must be a run of adjacent
+    subsystems (ValueError otherwise). A caller that already holds the
+    state's Schmidt factor over `keep` passes it as `factor`, and it is used
+    instead of being formed again.
     """
     f = _schmidt_factor(amplitudes, dims, keep) if factor is None else factor
     return f @ f.conj().T
@@ -191,36 +187,36 @@ def reduced_density(amplitudes, dims, keep, *, factor=None):
 def apply_unitary(amplitudes, dims, op, targets):
     """Apply an operator on the `targets` subsystems of a state vector.
 
-    `op` must be square with dimension prod(dims[i] for i in targets); its
-    row/column ordering follows the order in which `targets` are listed.
-
-    When the targets are an ascending run t0..t0+k-1, the amplitudes are a
-    (left, d_t, right) array and the operator is one matrix product on its
-    (d_t, left*right) transpose, a view when left is 1 and one C-contiguous
-    copy otherwise. That is the matrix the general route (move the targets
-    to the front, then flatten) builds, so both give the same bits. Any
-    other target order takes the general route.
+    The targets must be an ascending run t0..t0+k-1 of subsystems (ValueError
+    otherwise), and `op` square with dimension prod(dims[i] for i in
+    targets), its rows and columns ordered as the targets are. The
+    amplitudes are then a (left, d_t, right) array and the operator is one
+    matrix product on its (d_t, left*right) transpose, a view when left is 1
+    and one C-contiguous copy otherwise.
     """
     amp = _as_complex(amplitudes).reshape(-1)
     dims = list(dims)
     targets = list(targets)
+    t0 = targets[0] if targets else 0
+    if t0 < 0 or targets != list(range(t0, t0 + len(targets))):
+        raise ValueError(f"targets {targets} are not an ascending run of subsystems")
     d_t = math.prod(dims[i] for i in targets)
     op = _as_complex(op)
     if op.shape != (d_t, d_t):
         raise ValueError(f"operator shape {op.shape} does not match targets {targets}")
-    t0 = targets[0] if targets else 0
-    if t0 >= 0 and targets == list(range(t0, t0 + len(targets))):
-        left = math.prod(dims[:t0])
-        right = math.prod(dims[t0 + len(targets):])
-        mat = amp.reshape(left, d_t, right).transpose(1, 0, 2).reshape(d_t, left * right)
-        return (op @ mat).reshape(d_t, left, right).transpose(1, 0, 2).reshape(-1)
-    shaped = amp.reshape(dims)
-    moved = np.moveaxis(shaped, targets, range(len(targets)))
-    rest_shape = moved.shape[len(targets):]
-    mat = op @ moved.reshape(d_t, -1)
-    out = mat.reshape([dims[i] for i in targets] + list(rest_shape))
-    out = np.moveaxis(out, range(len(targets)), targets)
-    return out.reshape(-1)
+    left = math.prod(dims[:t0])
+    right = math.prod(dims[t0 + len(targets):])
+    mat = amp.reshape(left, d_t, right).transpose(1, 0, 2).reshape(d_t, left * right)
+    return (op @ mat).reshape(d_t, left, right).transpose(1, 0, 2).reshape(-1)
+
+
+def _hermitian(h, caller):
+    """h as a complex array; ValueError naming `caller` unless it is Hermitian."""
+    h = _as_complex(h)
+    if not (h.ndim == 2 and h.shape[0] == h.shape[1]
+            and np.max(np.abs(h - h.conj().T)) <= HERMITIAN_ATOL):
+        raise ValueError(f"{caller} expects a Hermitian matrix")
+    return h
 
 
 def herm_eig(h):
@@ -232,19 +228,14 @@ def herm_eig(h):
     v : (n, n) array whose columns are the matching orthonormal eigenvectors,
         so that h == v @ diag(w) @ v.conj().T.
     """
-    h = _as_complex(h)
-    if not is_hermitian(h):
-        raise ValueError("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_hermitian(h, "herm_eig"))
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
 
 
 def trace_norm(h):
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    h = _as_complex(h)
-    if not is_hermitian(h):
-        raise ValueError("trace_norm expects a Hermitian matrix")
+    h = _hermitian(h, "trace_norm")
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
@@ -405,16 +396,17 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def apply(self, op, targets):
-        """New StateVector with `op` applied to the listed subsystems."""
+        """New StateVector with `op` applied to an ascending run of subsystems."""
         return StateVector(
             apply_unitary(self.amplitudes, self.dims, op, targets), self.dims)
 
     def reduced(self, keep):
-        """Reduced DensityMatrix over the kept subsystems.
+        """Reduced DensityMatrix over a run of adjacent kept subsystems.
 
-        It keeps its Schmidt factor when the kept dimension d exceeds the
-        traced one D/d, the only case where the factor bounds the rank below
-        d; a wider factor would be a copy of the whole state.
+        Raises ValueError for any other set. It keeps its Schmidt factor when
+        the kept dimension d exceeds the traced one D/d, the only case where
+        the factor bounds the rank below d; a wider factor would be a copy of
+        the whole state.
         """
         keep = sorted(set(keep))
         f = _schmidt_factor(self.amplitudes, self.dims, keep)

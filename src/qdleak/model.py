@@ -27,6 +27,7 @@ is a pure function of its spec.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +54,14 @@ MODES = (MODE_ANALYTIC, MODE_HAAR)
 HADAMARD_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
+
+
+def _integer(name, value):
+    """operator.index(value): a Python or numpy integer, else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def cx(alpha):
@@ -141,7 +150,8 @@ class ScenarioSpec:
     alpha rotates the analytic-mode interlayer coupling; in haar mode it
     rotates the premeasurement instead (the haar couplings carry their own
     randomness). eve_layer selects which layer the eavesdropper reads
-    (1-based; None = last).
+    (1-based; None = last). The integer settings take Python or numpy
+    integers; anything else, 2.0 included, raises ValueError.
     """
 
     basis: str
@@ -155,6 +165,10 @@ class ScenarioSpec:
     eve_layer: int | None = None
 
     def __post_init__(self):
+        for name in ("key_bit", "n_layers", "qubits_per_layer", "seed", "eve_layer"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integer(name, value))
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
         if self.key_bit not in (0, 1):
@@ -173,7 +187,7 @@ class ScenarioSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == MODE_ANALYTIC and self.qubits_per_layer != 1:
             raise ValueError("analytic mode requires qubits_per_layer == 1")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.eve_layer is not None and not 1 <= self.eve_layer <= self.n_layers:
             raise ValueError("eve_layer must be in 1..n_layers")
@@ -338,18 +352,24 @@ def build_initial_state(spec):
     return StateVector(amp, spec.qubit_dims)
 
 
+def _premeasurement_alpha(spec):
+    """Angle of the premeasurement's cx/cz.
+
+    Analytic mode premeasures ideally (alpha = 0), so the chain rotation is
+    its only alpha dependence; haar mode premeasures with spec.alpha.
+    """
+    return 0.0 if spec.mode == MODE_ANALYTIC else spec.alpha
+
+
 def run_exchange(spec):
     """Premeasure, run the interaction chain, and reduce.
 
     Returns the global pure state together with the state of the
-    eavesdropper-accessible layer (spec.resolved_eve_layer()). Analytic mode uses the ideal (alpha = 0) premeasurement so the
-    chain rotation is the only alpha dependence; haar mode premeasures with
-    cx/cz(spec.alpha).
+    eavesdropper-accessible layer (spec.resolved_eve_layer()).
     """
     rng = np.random.default_rng(spec.seed)
-    pm_alpha = 0.0 if spec.mode == MODE_ANALYTIC else spec.alpha
-    state = build_initial_state(spec)
-    state = state.apply(build_premeasurement(spec.basis, pm_alpha), (0, 1))
+    premeasurement = build_premeasurement(spec.basis, _premeasurement_alpha(spec))
+    state = build_initial_state(spec).apply(premeasurement, (0, 1))
     for link in build_interaction_chain(spec, rng):
         state = state.apply(link.operator(), link.source + link.target)
         if abs(state.norm() - 1.0) > 1e-9:
@@ -452,22 +472,15 @@ def decoherence_factor_from_state(spec, params):
             "state-based evaluation traces the whole first layer; "
             "it requires all first-layer qubits to be monitored")
 
-    pm_alpha = 0.0 if spec.mode == MODE_ANALYTIC else spec.alpha
-    k0, k1 = basis_states(spec.basis)
-    amp = (k0 + k1) / np.sqrt(2.0)  # uniform pointer superposition
-    for _ in range(spec.n_qubits - 1):
-        amp = np.kron(amp, k0)
-    state = StateVector(amp, spec.qubit_dims)
-    state = state.apply(build_premeasurement(spec.basis, pm_alpha), (0, 1))
+    premeasurement = build_premeasurement(spec.basis, _premeasurement_alpha(spec))
+    # the uniform superposition of the two key bits' initial states
+    amp = sum(build_initial_state(replace(spec, key_bit=b)).amplitudes for b in (0, 1))
+    state = StateVector(amp / np.sqrt(2.0), spec.qubit_dims).apply(premeasurement, (0, 1))
     link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
     state = state.apply(link.operator(), link.source + link.target)
 
     rho_sa = state.reduced((0, 1)).matrix
-    cond = cx(pm_alpha) if spec.basis == COMPUTATIONAL else cz(pm_alpha)
-    branches = [np.kron(k0, k0), np.kron(k1, cond @ k0)]
-    gamma = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            if i != j:
-                gamma += abs(branches[i].conj() @ rho_sa @ branches[j])
-    return float(gamma)
+    # pointer branch i: the premeasured |i>|ready apparatus>
+    k0, k1 = basis_states(spec.basis)
+    b0, b1 = (premeasurement @ np.kron(k, k0) for k in (k0, k1))
+    return float(abs(b0.conj() @ rho_sa @ b1) + abs(b1.conj() @ rho_sa @ b0))

@@ -93,6 +93,39 @@ def test_sweep_config_validation():
             SweepConfig(experiment="layers_table", **grids)
 
 
+SCENARIO = dict(basis="computational", key_bit=0, n_layers=2, qubits_per_layer=2,
+                epsilon=0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SweepConfig(experiment="pguess_vs_epsilon", ne_grid=(3.9,)),
+    lambda: SweepConfig(experiment="layers_table", nl_grid=(1, 2.0)),
+    lambda: SweepConfig(experiment="layers_table", base_seed=1.5),
+    lambda: SweepConfig(experiment="layers_table", repetitions=1.5),
+    lambda: SweepConfig(experiment="layers_table", jobs=2.0),
+    lambda: SweepConfig(experiment="layers_table", eve_layer=1.5),
+    lambda: ScenarioSpec(**{**SCENARIO, "qubits_per_layer": 2.0}),
+    lambda: ScenarioSpec(**SCENARIO, seed=1.5),
+    lambda: ScenarioSpec(**SCENARIO, eve_layer=1.5),
+    lambda: ScenarioSpec(**{**SCENARIO, "key_bit": 1.0}),
+], ids=["ne_grid", "nl_grid", "base_seed", "repetitions", "jobs", "eve_layer",
+        "qubits_per_layer", "seed", "spec_eve_layer", "key_bit"])
+def test_non_integral_integer_settings_are_refused(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_settings_are_accepted():
+    cfg = SweepConfig(experiment="layers_table", ne_grid=(np.int64(3),),
+                      repetitions=np.int32(2), base_seed=np.uint64(2 ** 64 - 1),
+                      eve_layer=np.int8(1))
+    assert cfg.ne_grid == (3,) and type(cfg.ne_grid[0]) is int
+    assert (cfg.repetitions, cfg.base_seed, cfg.eve_layer) == (2, 2 ** 64 - 1, 1)
+    spec = ScenarioSpec(**{**SCENARIO, "n_layers": np.int64(2)}, seed=np.uint64(7))
+    assert (spec.n_layers, spec.seed) == (2, 7)
+    assert type(spec.n_layers) is int and type(spec.seed) is int
+
+
 @pytest.mark.parametrize("experiment, grids", [
     ("layers_table", dict(ne_grid=(2, 3))),
     ("layers_table", dict(alpha_grid=(0.0, 0.5))),

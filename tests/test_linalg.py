@@ -151,10 +151,15 @@ def test_reduced_density_matches_partial_trace():
     psi = random_state(24, rng)
     dims = (2, 3, 4)
     rho = np.outer(psi, psi.conj())
-    for keep in ({0}, {1}, {2}, {0, 2}, {1, 2}):
+    for keep in ({0}, {1}, {2}, {1, 2}):
         np.testing.assert_allclose(
             reduced_density(psi, dims, keep),
             partial_trace(rho, dims, keep), atol=1e-12)
+    # only partial_trace keeps subsystems that are not adjacent
+    with pytest.raises(ValueError):
+        reduced_density(psi, dims, {0, 2})
+    with pytest.raises(ValueError):
+        StateVector(psi, dims).reduced({0, 2})
 
 
 # ------------------------------------------------------------ herm_eig
@@ -342,8 +347,10 @@ def test_state_vector_apply_keeps_norm():
     rng = np.random.default_rng(12)
     sv = StateVector(random_state(16, rng), (2, 2, 2, 2))
     u = haar_unitary(4, rng)
-    moved = sv.apply(u, (1, 3))
+    moved = sv.apply(u, (1, 2))
     assert abs(moved.norm() - 1.0) < 1e-10
+    with pytest.raises(ValueError):
+        sv.apply(u, (1, 3))
 
 
 def test_apply_unitary_matches_dense_kron():
@@ -353,15 +360,13 @@ def test_apply_unitary_matches_dense_kron():
     dense = np.kron(np.kron(np.eye(2), u), np.eye(2)) @ psi
     np.testing.assert_allclose(apply_unitary(psi, (2, 2, 2), u, (1,)), dense,
                                atol=1e-12)
-    # non-adjacent targets in reversed order
     v = haar_unitary(4, rng)
-    swap = np.zeros((4, 4))
-    for a in range(2):
-        for b in range(2):
-            swap[2 * b + a, 2 * a + b] = 1
-    dense2 = np.kron(np.eye(2), swap @ v @ swap)  # v acting as (qubit2, qubit1)
-    got = apply_unitary(psi, (2, 2, 2), v, (2, 1))
+    dense2 = np.kron(np.eye(2), v)
+    got = apply_unitary(psi, (2, 2, 2), v, (1, 2))
     np.testing.assert_allclose(got, dense2 @ psi, atol=1e-12)
+    # targets in reversed order are no ascending run
+    with pytest.raises(ValueError):
+        apply_unitary(psi, (2, 2, 2), v, (2, 1))
 
 
 def test_density_matrix_validate():
