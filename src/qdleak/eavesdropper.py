@@ -8,7 +8,7 @@ access is modeled either as a random rank-2^k subspace her antenna
 resolves (optimal measurement inside, fair coin outside;
 nested_control_pguess) or as access to a subset of the layer's qubits
 (subset_pguess). Full access is the antenna bound 1/2 + 1/2 ||V^† Delta V||_1
-with V = I, so helstrom_pguess and subspace_pguess share one kernel.
+with V = I, so helstrom_pguess is subspace_pguess on the whole layer.
 
 A reduced layer state of the simulation has rank at most the dimension of
 the rest of the system, often far below the layer's. When both states carry
@@ -54,8 +54,14 @@ def _signed_factor(rho0, rho1, dim):
     return b, signs
 
 
-def _pguess(rho0, rho1, frame):
-    """1/2 + 1/2 ||V^† Delta V||_1 of Delta = rho0/2 - rho1/2; frame None is V = I.
+def subspace_pguess(rho0, rho1, isometry):
+    """Guessing probability when measurement is confined to a subspace.
+
+    `isometry` is a (dim, r) matrix V with orthonormal columns spanning the
+    accessible subspace, or None for the whole layer (V = I). The optimal
+    strategy measures the compression of Delta = rho0/2 - rho1/2 inside the
+    subspace and answers at random for outcomes outside it, giving
+    1/2 + 1/2 ||V^† Delta V||_1.
 
     When both states carry factors of r0 + r1 < dim columns (reduced pure
     states do), the norm is taken in their span: V^† Delta V = C J C^† with
@@ -64,7 +70,7 @@ def _pguess(rho0, rho1, frame):
     formed densely.
     """
     r0, r1 = _states(rho0, rho1)
-    v = None if frame is None else np.asarray(frame, dtype=complex)
+    v = None if isometry is None else np.asarray(isometry, dtype=complex)
     if v is not None and v.shape[0] != r0.shape[0]:
         raise ValueError("isometry row dimension must match the states")
     low_rank = _signed_factor(rho0, rho1, r0.shape[0])
@@ -85,22 +91,10 @@ def _pguess(rho0, rho1, frame):
 def helstrom_pguess(rho0, rho1):
     """Optimal-measurement guessing probability with full layer access.
 
-    The subspace bound of subspace_pguess on the whole layer (V = I), taken
-    in the span of the two states when their factors allow it.
+    subspace_pguess on the whole layer (V = I), taken in the span of the
+    two states when their factors allow it.
     """
-    return _pguess(rho0, rho1, None)
-
-
-def subspace_pguess(rho0, rho1, isometry):
-    """Guessing probability when measurement is confined to a subspace.
-
-    `isometry` is a (dim, r) matrix with orthonormal columns spanning the
-    accessible subspace, or None for the whole layer (helstrom_pguess). The
-    optimal strategy measures the compression of Delta = rho0/2 - rho1/2
-    inside the subspace and answers at random for outcomes outside it,
-    giving 1/2 + 1/2 ||V^† Delta V||_1.
-    """
-    return _pguess(rho0, rho1, isometry)
+    return subspace_pguess(rho0, rho1, None)
 
 
 def subset_pguess(rho0, rho1, subset):

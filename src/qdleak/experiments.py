@@ -38,6 +38,7 @@ from .eavesdropper import (
     subset_pguess,
 )
 from .errors import DegeneracyError
+from .linalg import _integer, _integers
 from .model import (
     COMPUTATIONAL,
     HADAMARD,
@@ -45,7 +46,6 @@ from .model import (
     MODE_HAAR,
     DecoherenceFactorParams,
     ScenarioSpec,
-    _integer,
     decoherence_factor,
     run_exchange_pair,
 )
@@ -115,9 +115,8 @@ class SweepConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         for name in ("repetitions", "base_seed", "jobs", "eve_layer"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _integer(name, value))
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.control_mode not in (None, *CONTROL_MODES):
@@ -129,8 +128,7 @@ class SweepConfig:
         # + 0.0 turns -0.0 into 0.0: both name one point, whose seeds hash repr()
         object.__setattr__(self, "eps_grid", tuple(float(e) + 0.0 for e in self.eps_grid))
         for grid in ("ne_grid", "nl_grid"):
-            values = tuple(_integer(grid, n) for n in getattr(self, grid))
-            object.__setattr__(self, grid, values)
+            object.__setattr__(self, grid, _integers(grid, getattr(self, grid)))
         object.__setattr__(self, "alpha_grid", tuple(float(a) + 0.0 for a in self.alpha_grid))
         # NaN fails both comparisons, so this also rejects non-finite values
         if not all(0.0 <= e <= 1.0 for e in self.eps_grid):
@@ -201,8 +199,9 @@ class _Sweep:
     axes: the CSV columns its rows vary over, in row-seed order; the grids
     of the other columns hold one value, and the `pinned` ones only their
     default (a pinned alpha_grid leaves the alpha column empty). defaults:
-    the value of each unset SweepConfig field; a control_mode is refused
-    where none is listed. devices(config): (rep, mode, basis, eve_layer) of
+    the value of each unset SweepConfig field, listing every optional
+    setting (eve_layer, control_mode) the sweep reads; one it does not list
+    is refused. devices(config): (rep, mode, basis, eve_layer) of
     every device a point averages over, in averaging order. measure(config,
     spec): {(controlled_qubits, statistic): value} of one device; a None
     value makes that row a skipped one.
@@ -223,16 +222,16 @@ _SWEEPS = {
         ("epsilon", "qubits_per_layer"),
         dict(eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0), ne_grid=(1, 2, 3, 4, 5, 6, 7),
              nl_grid=(1,), alpha_grid=(0.0,)),
-        _rejected_round_devices, _gamma, pinned=("alpha_grid",)),
+        _rejected_round_devices, _gamma, pinned=("nl_grid", "alpha_grid")),
     "pguess_vs_epsilon": _Sweep(
         ("epsilon", "qubits_per_layer"),
         dict(eps_grid=_EPS_TENTHS, ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,),
-             alpha_grid=(0.0,)),
+             alpha_grid=(0.0,), eve_layer=None),
         _eavesdropped_devices, _pguess),
     "partial_control_table": _Sweep(
         ("epsilon", "qubits_per_layer", "controlled_qubits"),
         dict(eps_grid=(0.0,), ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,), alpha_grid=(0.0,),
-             control_mode=CONTROL_RANK),
+             eve_layer=None, control_mode=CONTROL_RANK),
         _eavesdropped_devices, _partial_control, skip_reason="k_out_of_range"),
     # The published multi-layer table reads the first layer: it is hit by
     # the first interlayer projector pair and untouched afterwards.
@@ -257,15 +256,13 @@ def resolve_config(config):
 
     A setting is unset when it is None or an empty grid; any other value,
     0 included, stays as given. Raises ValueError for a fixed grid with
-    more than one value, for a pinned grid off its default, for an
-    eve_layer on an experiment without an eavesdropper and for a
-    control_mode on one whose defaults hold none.
+    more than one value, for a pinned grid off its default and for an
+    eve_layer or control_mode the experiment's defaults do not list.
     """
     sweep = _SWEEPS[config.experiment]
-    if config.eve_layer is not None and sweep.devices is not _eavesdropped_devices:
-        raise ValueError(f"{config.experiment} has no eavesdropper to set eve_layer for")
-    if config.control_mode is not None and "control_mode" not in sweep.defaults:
-        raise ValueError(f"{config.experiment} has no control_mode to set")
+    for name in ("eve_layer", "control_mode"):
+        if getattr(config, name) is not None and name not in sweep.defaults:
+            raise ValueError(f"{config.experiment} does not read {name}")
     updates = {name: value for name, value in sweep.defaults.items()
                if getattr(config, name) in (None, ())}
     resolved = replace(config, **updates) if updates else config

@@ -26,6 +26,7 @@ the dimension, which the eavesdropper's discrimination uses.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,22 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def _as_complex(a):
     return np.asarray(a, dtype=complex)
+
+
+def _integer(name, value):
+    """operator.index(value): a Python or numpy integer, else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integers(name, values):
+    """_integer of each value, as a tuple, at the cost of one map."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(_integer(name, v) for v in values)
 
 
 def check_dim(dim):
@@ -376,14 +393,14 @@ def random_complementary_projectors(dim, rank0, rng):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state: amplitude vector plus the subsystem dimension list."""
+    """Pure state: amplitude vector plus the subsystem dimensions, integers."""
 
     amplitudes: np.ndarray
     dims: tuple
 
     def __post_init__(self):
         amp = _as_complex(self.amplitudes).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _integers("dims", self.dims)
         if any(d < 1 for d in dims):
             raise ValueError("subsystem dimensions must be positive")
         if amp.size != math.prod(dims):
@@ -417,7 +434,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density matrix plus the subsystem dimension list.
+    """Density matrix plus the subsystem dimensions, integers.
 
     `factor`, when known, is a (dim, r) matrix with matrix = factor @
     factor^†; r bounds the rank. StateVector.reduced keeps the Schmidt
@@ -431,7 +448,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _integers("dims", self.dims)
         d = int(np.prod(dims))
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")

@@ -27,7 +27,6 @@ is a pure function of its spec.
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import ContractError, DegeneracyError
 from .linalg import (
     DensityMatrix,
     StateVector,
+    _integer,
     haar_unitary,
     kron,
     kron_all,
@@ -54,14 +54,6 @@ MODES = (MODE_ANALYTIC, MODE_HAAR)
 HADAMARD_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
-
-
-def _integer(name, value):
-    """operator.index(value): a Python or numpy integer, else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def cx(alpha):
@@ -166,9 +158,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("key_bit", "n_layers", "qubits_per_layer", "seed", "eve_layer"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _integer(name, value))
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
         if self.key_bit not in (0, 1):

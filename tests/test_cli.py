@@ -94,6 +94,8 @@ def test_invalid_scenario_returns_2(tmp_path, capsys):
     # an abbreviated flag is refused by argparse, whatever its value
     ["pguess-vs-epsilon", "--eps", "0.5"],
     ["pguess-vs-epsilon", "--eps", "-0.0,0.5"],
+    # a depth the command never reads
+    ["decoherence-sweep", "--nl-grid", "2"],
 ])
 def test_rejected_before_any_scenario_runs(args, tmp_path, monkeypatch, capsys):
     def no_scenario(**kwargs):
@@ -352,7 +354,9 @@ def _accepted(draw, command):
         values["nl_grid"] = _grid(draw, ("1", "2"))
     else:
         values["ne_grid"] = _grid(draw, ("1", "2", "3"))
-        values["nl_grid"] = draw(st.sampled_from(["1", "2"]))
+        # a rejected round reads no layer past the first
+        depths = ["1"] if command == "decoherence-sweep" else ["1", "2"]
+        values["nl_grid"] = draw(st.sampled_from(depths))
     optional = {"seed": ("0", "7", "18446744073709551615")}
     if command != "decoherence-sweep":
         optional["alpha"] = ("0", "-0.0", "0.3", "1e308")

@@ -22,6 +22,7 @@ from qdleak.experiments import (
     scenario_seed,
     write_csv,
 )
+from qdleak.linalg import DensityMatrix, StateVector
 from qdleak.model import DecoherenceFactorParams, ScenarioSpec, decoherence_factor
 
 SMALL = dict(repetitions=3, base_seed=99)
@@ -108,8 +109,11 @@ SCENARIO = dict(basis="computational", key_bit=0, n_layers=2, qubits_per_layer=2
     lambda: ScenarioSpec(**SCENARIO, seed=1.5),
     lambda: ScenarioSpec(**SCENARIO, eve_layer=1.5),
     lambda: ScenarioSpec(**{**SCENARIO, "key_bit": 1.0}),
+    lambda: StateVector(np.ones(4) / 2, (2.9, 2)),
+    lambda: DensityMatrix(np.eye(2) / 2, (2.5,)),
 ], ids=["ne_grid", "nl_grid", "base_seed", "repetitions", "jobs", "eve_layer",
-        "qubits_per_layer", "seed", "spec_eve_layer", "key_bit"])
+        "qubits_per_layer", "seed", "spec_eve_layer", "key_bit", "state_dims",
+        "density_dims"])
 def test_non_integral_integer_settings_are_refused(make):
     with pytest.raises(ValueError, match="must be an integer"):
         make()
@@ -124,6 +128,9 @@ def test_numpy_integer_settings_are_accepted():
     spec = ScenarioSpec(**{**SCENARIO, "n_layers": np.int64(2)}, seed=np.uint64(7))
     assert (spec.n_layers, spec.seed) == (2, 7)
     assert type(spec.n_layers) is int and type(spec.seed) is int
+    dims = (np.int64(2), np.int64(2))
+    for state in (StateVector(np.ones(4) / 2, dims), DensityMatrix(np.eye(4) / 4, dims)):
+        assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
 
 
 @pytest.mark.parametrize("experiment, grids", [
@@ -136,6 +143,7 @@ def test_numpy_integer_settings_are_accepted():
     # grids the experiment pins to its default value
     ("decoherence_sweep", dict(alpha_grid=(0.7,))),
     ("conjecture_check", dict(ne_grid=(2,))),
+    ("decoherence_sweep", dict(nl_grid=(2,))),
 ])
 def test_resolve_config_rejects_grids_the_experiment_holds_fixed(experiment, grids):
     with pytest.raises(ValueError):
