@@ -37,13 +37,15 @@ def _add_common_flags(parser):
     parser.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED, metavar="U64",
                         help="base seed (default %(default)s)")
     parser.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS, metavar="N",
-                        help="repetitions per grid point (default %(default)s)")
+                        help="repetitions per grid point (default %(default)s; "
+                             "conjecture-check's closed form always runs 1)")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
                         help="worker processes (default: logical core count)")
     parser.add_argument("--out", metavar="PATH",
                         help="output CSV path (default: <experiment>.csv)")
     parser.add_argument("--alpha", type=float, metavar="RADIANS",
-                        help="coupling rotation angle (default 0)")
+                        help="coupling rotation angle (default 0; conjecture-check "
+                             "sweeps 0, pi/6 and pi/4)")
     parser.add_argument("--eve-layer", type=int, metavar="INDEX",
                         help="1-based layer the eavesdropper reads (default: last; "
                              "layers-table defaults to 1); not accepted by "

@@ -13,9 +13,9 @@ the documented monotonicity trends hold per repetition instead of merely on
 average.
 
 Every experiment runs the same job on each point of the product of its four
-grids; a table per experiment names the grids its rows vary over, the
-devices one point averages and the measurement taken on each device. The
-grids an experiment holds fixed must hold exactly one value.
+grids; a table per experiment names the grids its rows vary over, its
+defaults, the devices (mode and bases) one point averages and the
+measurement taken on each. A SweepConfig applies the table when it is built.
 """
 
 import contextlib
@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache, partial
 
 import numpy as np
@@ -94,8 +94,12 @@ def control_seed(seed_of_scenario):
 class SweepConfig:
     """Grid, averaging and output settings for one experiment run.
 
-    The integer settings and the ne/nl grid entries take Python or numpy
-    integers; anything else, 3.0 included, raises ValueError.
+    Building a config checks it whole, raising ValueError: types and ranges,
+    then an optional setting (eve_layer, control_mode, basis) the experiment
+    does not read; unset settings (None or an empty grid) then take the
+    experiment's defaults, the fixed and pinned grids are checked and the
+    seed-0 scenario of every grid point is built. Integer settings and ne/nl
+    grid entries take Python or numpy integers; only eve_layer may be None.
     """
 
     experiment: str
@@ -109,13 +113,13 @@ class SweepConfig:
     jobs: int = 1
     eve_layer: int | None = None
     control_mode: str | None = None
-    basis: str = COMPUTATIONAL
+    basis: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         for name in ("repetitions", "base_seed", "jobs", "eve_layer"):
-            if getattr(self, name) is not None:
+            if name != "eve_layer" or self.eve_layer is not None:
                 object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -137,6 +141,25 @@ class SweepConfig:
             values = getattr(self, grid)
             if len(set(values)) != len(values):
                 raise ValueError(f"{grid} repeats a value: {values}")
+        # the experiment's table; its refusals come before any scenario is built
+        sweep = _SWEEPS[self.experiment]
+        for name in ("eve_layer", "control_mode", "basis"):
+            if getattr(self, name) is not None and name not in sweep.defaults:
+                raise ValueError(f"{self.experiment} does not read {name}")
+        for name, value in sweep.defaults.items():
+            if getattr(self, name) in (None, ()):
+                object.__setattr__(self, name, value)
+        for grid, column in _GRID_COLUMNS.items():
+            values = getattr(self, grid)
+            if column not in sweep.axes and len(values) != 1:
+                raise ValueError(f"{self.experiment} does not sweep {column}: "
+                                 f"{grid} must hold one value, got {values}")
+            if grid in sweep.pinned and values != sweep.defaults[grid]:
+                raise ValueError(f"{self.experiment} runs only at {grid} = "
+                                 f"{sweep.defaults[grid]}, got {values}")
+        for point in _points(self):
+            for basis in sweep.bases or (self.basis,):
+                _scenario(self, point, basis, seed=0)
 
 
 def _pguess(config, spec):
@@ -176,22 +199,6 @@ def _conjecture(config, spec):
     return {(1, stat): value for stat, value in zip(stats, values)}
 
 
-def _eavesdropped_devices(config):
-    return [(rep, MODE_HAAR, config.basis, config.eve_layer)
-            for rep in range(config.repetitions)]
-
-
-def _rejected_round_devices(config):
-    # both pointer bases of every repetition; no eavesdropper reads the layer
-    return [(rep, MODE_HAAR, basis, None)
-            for rep in range(config.repetitions) for basis in (COMPUTATIONAL, HADAMARD)]
-
-
-def _analytic_device(config):
-    # the closed-form chain is deterministic: one device, repetition 0
-    return [(0, MODE_ANALYTIC, config.basis, None)]
-
-
 @dataclass(frozen=True)
 class _Sweep:
     """How one experiment turns a grid point into rows.
@@ -200,81 +207,58 @@ class _Sweep:
     of the other columns hold one value, and the `pinned` ones only their
     default (a pinned alpha_grid leaves the alpha column empty). defaults:
     the value of each unset SweepConfig field, listing every optional
-    setting (eve_layer, control_mode) the sweep reads; one it does not list
-    is refused. devices(config): (rep, mode, basis, eve_layer) of
-    every device a point averages over, in averaging order. measure(config,
-    spec): {(controlled_qubits, statistic): value} of one device; a None
-    value makes that row a skipped one.
+    setting (eve_layer, control_mode, basis) the sweep reads; one it does
+    not list is refused. measure(config, spec): {(controlled_qubits,
+    statistic): value} of one device; a None value makes that row a skipped
+    one. A point averages one device per repetition and per basis of
+    `bases` (None: the config's basis), all in `mode`; MODE_ANALYTIC draws
+    nothing, so it averages one device.
     """
 
     axes: tuple
     defaults: dict
-    devices: object
     measure: object
     skip_reason: str = ""
     pinned: tuple = ()
+    mode: str = MODE_HAAR
+    bases: tuple | None = None
 
 
 _EPS_TENTHS = tuple(round(0.1 * i, 1) for i in range(11))
 
 _SWEEPS = {
+    # Rejected rounds are scored in both pointer bases; no eavesdropper reads them.
     "decoherence_sweep": _Sweep(
         ("epsilon", "qubits_per_layer"),
         dict(eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0), ne_grid=(1, 2, 3, 4, 5, 6, 7),
              nl_grid=(1,), alpha_grid=(0.0,)),
-        _rejected_round_devices, _gamma, pinned=("nl_grid", "alpha_grid")),
+        _gamma, pinned=("nl_grid", "alpha_grid"), bases=(COMPUTATIONAL, HADAMARD)),
     "pguess_vs_epsilon": _Sweep(
         ("epsilon", "qubits_per_layer"),
         dict(eps_grid=_EPS_TENTHS, ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,),
-             alpha_grid=(0.0,), eve_layer=None),
-        _eavesdropped_devices, _pguess),
+             alpha_grid=(0.0,), eve_layer=None, basis=COMPUTATIONAL),
+        _pguess),
     "partial_control_table": _Sweep(
         ("epsilon", "qubits_per_layer", "controlled_qubits"),
         dict(eps_grid=(0.0,), ne_grid=(3, 4, 5, 6, 7), nl_grid=(1,), alpha_grid=(0.0,),
-             eve_layer=None, control_mode=CONTROL_RANK),
-        _eavesdropped_devices, _partial_control, skip_reason="k_out_of_range"),
+             eve_layer=None, control_mode=CONTROL_RANK, basis=COMPUTATIONAL),
+        _partial_control, skip_reason="k_out_of_range"),
     # The published multi-layer table reads the first layer: it is hit by
     # the first interlayer projector pair and untouched afterwards.
     "layers_table": _Sweep(
         ("epsilon", "n_layers"),
         dict(eps_grid=(0.5, 0.7, 0.9), ne_grid=(2,), nl_grid=(1, 2, 3), alpha_grid=(0.0,),
-             eve_layer=1),
-        _eavesdropped_devices, _pguess),
+             eve_layer=1, basis=COMPUTATIONAL),
+        _pguess),
     "conjecture_check": _Sweep(
         ("epsilon", "alpha", "n_layers"),
         dict(eps_grid=_EPS_TENTHS, ne_grid=(1,), nl_grid=(1, 2, 3, 4, 5),
-             alpha_grid=(0.0, math.pi / 6, math.pi / 4)),
-        _analytic_device, _conjecture, skip_reason="degenerate_coupling",
-        pinned=("ne_grid",)),
+             alpha_grid=(0.0, math.pi / 6, math.pi / 4), basis=COMPUTATIONAL),
+        _conjecture, skip_reason="degenerate_coupling", pinned=("ne_grid",),
+        mode=MODE_ANALYTIC),
 }
 
 EXPERIMENTS = tuple(_SWEEPS)
-
-
-def resolve_config(config):
-    """Fill each unset setting with the experiment's default.
-
-    A setting is unset when it is None or an empty grid; any other value,
-    0 included, stays as given. Raises ValueError for a fixed grid with
-    more than one value, for a pinned grid off its default and for an
-    eve_layer or control_mode the experiment's defaults do not list.
-    """
-    sweep = _SWEEPS[config.experiment]
-    for name in ("eve_layer", "control_mode"):
-        if getattr(config, name) is not None and name not in sweep.defaults:
-            raise ValueError(f"{config.experiment} does not read {name}")
-    updates = {name: value for name, value in sweep.defaults.items()
-               if getattr(config, name) in (None, ())}
-    resolved = replace(config, **updates) if updates else config
-    for grid, column in _GRID_COLUMNS.items():
-        values = getattr(resolved, grid)
-        if column not in sweep.axes and len(values) != 1:
-            raise ValueError(f"{config.experiment} does not sweep {column}: "
-                             f"{grid} must hold one value, got {values}")
-        if grid in sweep.pinned and values != sweep.defaults[grid]:
-            raise ValueError(f"{config.experiment} runs only at {grid} = "
-                             f"{sweep.defaults[grid]}, got {values}")
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -316,21 +300,28 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std(ddof=1))
 
 
-def _scenario(point, mode, basis, eve_layer, seed):
+def _points(config):
+    """The grid points (epsilon, alpha, n_layers, ne) of a config, in order."""
+    return list(itertools.product(*(getattr(config, g) for g in _GRID_COLUMNS)))
+
+
+def _scenario(config, point, basis, seed):
     epsilon, alpha, n_layers, ne = point
     return ScenarioSpec(
         basis=basis, key_bit=0, n_layers=n_layers, qubits_per_layer=ne,
-        epsilon=epsilon, alpha=alpha, mode=mode, seed=seed, eve_layer=eve_layer)
+        epsilon=epsilon, alpha=alpha, mode=_SWEEPS[config.experiment].mode, seed=seed,
+        eve_layer=config.eve_layer)
 
 
 def _grid_point_job(config, point):
     """The rows of one grid point (epsilon, alpha, n_layers, ne)."""
     sweep = _SWEEPS[config.experiment]
     epsilon, alpha, _, ne = point
+    reps = 1 if sweep.mode == MODE_ANALYTIC else config.repetitions
     samples = {}
-    for rep, mode, basis, eve_layer in sweep.devices(config):
-        seed = scenario_seed(config.base_seed, basis, mode, epsilon, alpha, ne, rep)
-        spec = _scenario(point, mode, basis, eve_layer, seed)
+    for rep, basis in itertools.product(range(reps), sweep.bases or (config.basis,)):
+        seed = scenario_seed(config.base_seed, basis, sweep.mode, epsilon, alpha, ne, rep)
+        spec = _scenario(config, point, basis, seed)
         for key, value in sweep.measure(config, spec).items():
             samples.setdefault(key, []).append(value)
 
@@ -404,30 +395,14 @@ def _one_blas_thread():
         set_threads(previous)
 
 
-def _validate_points(config, points):
-    """Raise ValueError for a point no scenario accepts, before any runs.
-
-    Builds the spec (seed 0) of every point for each distinct kind of
-    device the sweep averages.
-    """
-    sweep = _SWEEPS[config.experiment]
-    kinds = {(mode, basis, eve_layer)
-             for _, mode, basis, eve_layer in sweep.devices(config)}
-    for point in points:
-        for mode, basis, eve_layer in kinds:
-            _scenario(point, mode, basis, eve_layer, seed=0)
-
-
 def run_experiment(config):
     """Evaluate a sweep and return its rows, stably sorted.
 
-    Every grid point is validated before any is computed. Numpy's bundled
-    OpenBLAS runs one thread per process meanwhile, unless
+    The config was checked, every grid point included, when it was built.
+    Numpy's bundled OpenBLAS runs one thread per process meanwhile, unless
     OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
     """
-    config = resolve_config(config)
-    points = list(itertools.product(*(getattr(config, g) for g in _GRID_COLUMNS)))
-    _validate_points(config, points)
+    points = _points(config)
     bound = partial(_grid_point_job, config)
     workers = pool_size(config.jobs, len(points), os.cpu_count())
     with _one_blas_thread():

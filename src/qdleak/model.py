@@ -143,7 +143,8 @@ class ScenarioSpec:
     rotates the premeasurement instead (the haar couplings carry their own
     randomness). eve_layer selects which layer the eavesdropper reads
     (1-based; None = last). The integer settings take Python or numpy
-    integers; anything else, 2.0 included, raises ValueError.
+    integers; anything else, 2.0 and None included, raises ValueError, except
+    that eve_layer may be None.
     """
 
     basis: str
@@ -158,7 +159,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("key_bit", "n_layers", "qubits_per_layer", "seed", "eve_layer"):
-            if getattr(self, name) is not None:
+            if name != "eve_layer" or self.eve_layer is not None:
                 object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")

@@ -16,7 +16,6 @@ from qdleak.experiments import (
     control_seed,
     derive_seed,
     pool_size,
-    resolve_config,
     run_and_write,
     run_experiment,
     scenario_seed,
@@ -57,20 +56,21 @@ def test_scenario_seed_ignores_layer_count_by_design():
 # ------------------------------------------------------- configuration
 
 def test_resolve_config_fills_documented_defaults():
-    cfg = resolve_config(SweepConfig(experiment="partial_control_table"))
+    cfg = SweepConfig(experiment="partial_control_table")
     assert cfg.ne_grid == (3, 4, 5, 6, 7)
     assert cfg.eps_grid == (0.0,)
     assert cfg.control_mode == "rank"
-    layers = resolve_config(SweepConfig(experiment="layers_table"))
+    layers = SweepConfig(experiment="layers_table")
     assert layers.eve_layer == 1
     assert layers.nl_grid == (1, 2, 3)
     # explicit grids and overrides survive resolution
-    custom = resolve_config(SweepConfig(experiment="layers_table",
-                                        eps_grid=(0.5,), eve_layer=2))
+    custom = SweepConfig(experiment="layers_table",
+                         eps_grid=(0.5,), nl_grid=(2, 3), eve_layer=2)
     assert custom.eps_grid == (0.5,)
     assert custom.eve_layer == 2
     # only None or an empty grid is unset: 0 is kept, for the scenario to refuse
-    assert resolve_config(SweepConfig(experiment="layers_table", eve_layer=0)).eve_layer == 0
+    with pytest.raises(ValueError, match=r"eve_layer must be in 1\.\.n_layers"):
+        SweepConfig(experiment="layers_table", eve_layer=0)
 
 
 def test_sweep_config_validation():
@@ -111,9 +111,16 @@ SCENARIO = dict(basis="computational", key_bit=0, n_layers=2, qubits_per_layer=2
     lambda: ScenarioSpec(**{**SCENARIO, "key_bit": 1.0}),
     lambda: StateVector(np.ones(4) / 2, (2.9, 2)),
     lambda: DensityMatrix(np.eye(2) / 2, (2.5,)),
+    lambda: SweepConfig(experiment="layers_table", repetitions=None),
+    lambda: SweepConfig(experiment="layers_table", base_seed=None),
+    lambda: SweepConfig(experiment="layers_table", jobs=None),
+    lambda: ScenarioSpec(**{**SCENARIO, "n_layers": None}),
+    lambda: ScenarioSpec(**{**SCENARIO, "qubits_per_layer": None}),
+    lambda: ScenarioSpec(**SCENARIO, seed=None),
 ], ids=["ne_grid", "nl_grid", "base_seed", "repetitions", "jobs", "eve_layer",
         "qubits_per_layer", "seed", "spec_eve_layer", "key_bit", "state_dims",
-        "density_dims"])
+        "density_dims", "none_repetitions", "none_base_seed", "none_jobs",
+        "none_n_layers", "none_qubits_per_layer", "none_seed"])
 def test_non_integral_integer_settings_are_refused(make):
     with pytest.raises(ValueError, match="must be an integer"):
         make()
@@ -147,7 +154,7 @@ def test_numpy_integer_settings_are_accepted():
 ])
 def test_resolve_config_rejects_grids_the_experiment_holds_fixed(experiment, grids):
     with pytest.raises(ValueError):
-        resolve_config(SweepConfig(experiment=experiment, **grids))
+        SweepConfig(experiment=experiment, **grids)
 
 
 @pytest.mark.parametrize("experiment, settings", [
@@ -157,10 +164,11 @@ def test_resolve_config_rejects_grids_the_experiment_holds_fixed(experiment, gri
     ("pguess_vs_epsilon", dict(control_mode="subset")),
     ("decoherence_sweep", dict(control_mode="rank")),
     ("conjecture_check", dict(control_mode="rank")),
+    ("decoherence_sweep", dict(basis="hadamard")),
 ])
 def test_resolve_config_rejects_settings_the_experiment_ignores(experiment, settings):
     with pytest.raises(ValueError):
-        resolve_config(SweepConfig(experiment=experiment, **settings))
+        SweepConfig(experiment=experiment, **settings)
 
 
 def test_pool_size_is_bounded_by_points_and_cpus():
