@@ -1,11 +1,11 @@
 """Command-line experiment runner.
 
-    qdleak <experiment> [flags]
+    qdleak [flags] <command> [flags]
 
-where <experiment> is an experiments.EXPERIMENTS name with "-" for "_".
-Flags are spelt in full. Every flag can also be given in a flat key = value
-config file (--config), whose entries are parsed as flags placed before the
-command line's own, so a flag overrides the file. Exit codes: 0 success,
+where <command> is an experiments.EXPERIMENTS name with "-" for "_". The
+commands share one parser; flags, spelt in full, may also precede the command.
+A flat key = value config file (--config) can give any flag; its entries are
+parsed before the command line's own, so a flag wins. Exit codes: 0 success,
 2 configuration/argument error, 3 numerical contract violation.
 """
 
@@ -31,7 +31,12 @@ _CONFIG_KEYS = ("seed", "reps", "jobs", "out", "alpha", "eve_layer",
 _VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key in _CONFIG_KEYS}
 
 
-def _add_common_flags(parser):
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="qdleak", allow_abbrev=False,
+        description="Seed-averaged simulations of key-bit leakage through a "
+                    "layered decohering environment; results land in CSV files.")
+    parser.add_argument("command", choices=_COMMANDS, help="the experiment to run")
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value config file; flags override it")
     parser.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED, metavar="U64",
@@ -59,18 +64,6 @@ def _add_common_flags(parser):
                         help="comma-separated qubits-per-layer values")
     parser.add_argument("--nl-grid", metavar="LIST",
                         help="comma-separated layer counts")
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qdleak", allow_abbrev=False,
-        description="Seed-averaged simulations of key-bit leakage through a "
-                    "layered decohering environment; results land in CSV files.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        sp = sub.add_parser(command, allow_abbrev=False,
-                            help=f"run the {command.replace('-', ' ')} experiment")
-        _add_common_flags(sp)
     return parser
 
 
@@ -186,10 +179,9 @@ def main(argv=None):
     try:
         if args.config:
             # the file's settings go first, so a flag in argv wins
-            at = argv.index(args.command) + 1
             file_flags = [f"--{key.replace('_', '-')}={value}"
                           for key, value in parse_config_file(args.config).items()]
-            args = parser.parse_args(argv[:at] + file_flags + argv[at:])
+            args = parser.parse_args(file_flags + argv)
         rows, path = run_and_write(_sweep_config(args))
     except (ValueError, OSError) as exc:
         print(f"qdleak: configuration error: {exc}", file=sys.stderr)

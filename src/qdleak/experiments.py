@@ -317,6 +317,8 @@ def _grid_point_job(config, point):
     """The rows of one grid point (epsilon, alpha, n_layers, ne)."""
     sweep = _SWEEPS[config.experiment]
     epsilon, alpha, _, ne = point
+    # the closed form reads one device; repetitions is still accepted there,
+    # since callers run all five experiments from one SweepConfig
     reps = 1 if sweep.mode == MODE_ANALYTIC else config.repetitions
     samples = {}
     for rep, basis in itertools.product(range(reps), sweep.bases or (config.basis,)):

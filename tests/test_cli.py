@@ -56,6 +56,23 @@ def test_rerun_same_seed_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_flags_may_precede_the_command(tmp_path):
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    flags = ["--seed", "7", "--jobs", "1", "--reps", "2", "--eps-grid", "0.5,0.9",
+             "--nl-grid", "1"]
+    assert run_cli(flags + ["layers-table", "--out", str(before)]) == 0
+    assert run_cli(["layers-table"] + flags + ["--out", str(after)]) == 0
+    assert before.read_bytes() == after.read_bytes()
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in cli._COMMANDS)
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         run_cli(["spectral-sweep"])
@@ -233,6 +250,12 @@ def test_config_file_and_flag_precedence(tmp_path):
                     "--out", str(tmp_path / "flag_wins.csv")])
     assert code == 0
     assert (tmp_path / "flag_wins.csv").exists()
+
+    # so does a flag placed before the command
+    code = run_cli(["--out", str(tmp_path / "flag_first.csv"), "--config", str(conf),
+                    "layers-table", "--jobs", "1"])
+    assert code == 0
+    assert (tmp_path / "flag_first.csv").exists()
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
@@ -440,7 +463,7 @@ def test_any_input_runs_or_exits_2_with_one_line(case):
         # argparse prints its usage, then its one error line
         assert lines[0].startswith("usage: qdleak ")
         assert [line for line in lines if "error" in line] == lines[-1:]
-        assert lines[-1].startswith("qdleak ") and ": error: " in lines[-1]
+        assert lines[-1].startswith("qdleak: error: ")
 
 
 # ------------------------------------------------------- heap policy

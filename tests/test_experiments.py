@@ -286,6 +286,21 @@ def test_decoherence_sweep_no_interaction_endpoint():
     assert all(r.statistic == "gamma" for r in rows)
 
 
+def test_decoherence_sweep_at_full_interaction_averages_two_thirds_per_qubit():
+    # at eps = 0 each qubit's overlap |<E0|E1>| has Haar mean 2/3 and mean
+    # square 1/2, and the qubits are independent: E[gamma] = (2/3)^ne and
+    # E[gamma^2] = 2^-ne, whatever the seed
+    cfg = SweepConfig(experiment="decoherence_sweep", eps_grid=(0.0,))
+    rows = run_experiment(cfg)
+    assert sorted(r.qubits_per_layer for r in rows) == list(range(1, 8))
+    for row in rows:
+        ne = row.qubits_per_layer
+        target = (2.0 / 3.0) ** ne
+        exact_sd = math.sqrt(2.0 ** -ne - (4.0 / 9.0) ** ne)
+        se = max(row.std, exact_sd) / math.sqrt(row.repetitions)
+        assert abs(row.mean - target) <= 5 * se, (ne, row.mean, target, se)
+
+
 def test_decoherence_sweep_averages_both_bases_of_every_repetition():
     cfg = SweepConfig(experiment="decoherence_sweep", eps_grid=(0.5,),
                       ne_grid=(2,), **SMALL)
