@@ -84,8 +84,8 @@ def _joined(argv):
 
 
 def parse_config_file(path):
-    """Parse a flat `key = value` file; '#' starts a comment."""
-    values = {}
+    """Parse a flat `key = value` file; '#' starts a comment; a key is given once."""
+    values, first_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -97,7 +97,11 @@ def parse_config_file(path):
             key = key.strip().replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is given again, "
+                                 f"first on line {first_line[key]}")
             values[key] = value.strip()
+            first_line[key] = lineno
     return values
 
 

@@ -11,11 +11,12 @@ nested_control_pguess) or as access to a subset of the layer's qubits
 with V = I, so helstrom_pguess is subspace_pguess on the whole layer.
 
 A reduced layer state of the simulation has rank at most the dimension of
-the rest of the system, often far below the layer's. When both states carry
-their Schmidt factors (DensityMatrix.factor) with fewer columns in total
-than the layer dimension, full and antenna access are discriminated in the
-span of the two states, on matrices of that column count; raw arrays,
-partial traces and factors that fill the layer take the dense route.
+the rest of the system, often far below the layer's. Every such state
+carries its Schmidt factor (DensityMatrix.factor), and _signed_factor is
+the one place that picks the route: when the two factors have fewer columns
+in total than the layer dimension, full and antenna access are
+discriminated in the span of the two states, on matrices of that column
+count; raw arrays, partial traces and wider factors take the dense route.
 
 The closed-form guessing probability and key rate for chains of single-qubit
 layers live here too, next to the variant diagnostics that pin down the
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .linalg import haar_unitary, partial_trace, trace_norm
+from .linalg import _integer, _integers, haar_unitary, partial_trace, trace_norm
 from .model import coupling_pq
 
 
@@ -109,7 +110,7 @@ def subset_pguess(rho0, rho1, subset):
     n = int(round(math.log2(dim)))
     if 2 ** n != dim:
         raise ValueError(f"layer dimension {dim} is not a power of two")
-    subset = tuple(int(i) for i in subset)
+    subset = _integers("subset", subset)
     if len(set(subset)) != len(subset):
         raise ValueError(f"subset indices must be distinct, got {subset}")
     if any(not 0 <= i < n for i in subset):
@@ -136,7 +137,9 @@ def nested_control_pguess(rho0, rho1, ks, rng):
     same value, so it reads no frame and equals helstrom_pguess.
     """
     dim = _states(rho0, rho1)[0].shape[0]
-    ks = sorted(set(int(k) for k in ks))
+    ks = sorted(set(_integers("ks", ks)))
+    if ks and ks[0] < 0:
+        raise ValueError(f"ranks 2^k need k >= 0, got k = {ks[0]}")
     if ks and 2 ** ks[-1] > dim:
         raise ValueError(f"rank 2^{ks[-1]} exceeds the layer dimension {dim}")
     proper = [2 ** k for k in ks if 1 <= k and 2 ** k < dim]
@@ -192,6 +195,7 @@ def analytic_pguess(n_layers, epsilon, alpha=0.0):
     twice except the last, which contributes once. Matches the full-state
     simulation of the analytic mode exactly.
     """
+    n_layers = _integer("n_layers", n_layers)
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     p, q, n = coupling_pq(epsilon, alpha)

@@ -19,10 +19,10 @@ subset.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
 
-A pure state's reduced DensityMatrix also keeps its Schmidt factor F
-(matrix = F F^†), the amplitudes reshaped to kept x traced subsystems, when
-F has fewer columns than rows: then its column count bounds the rank below
-the dimension, which the eavesdropper's discrimination uses.
+A pure state's reduced DensityMatrix (reduced_density) always carries its
+Schmidt factor F (matrix = F F^†), the amplitudes reshaped to kept x traced
+subsystems. Whether F's column count is low enough to be worth using is
+decided by its one reader, the eavesdropper's discrimination.
 """
 
 import math
@@ -149,7 +149,7 @@ def partial_trace(rho, dims, keep):
     rho = _as_complex(rho)
     dims = list(dims)
     n = len(dims)
-    keep = sorted(set(keep))
+    keep = sorted(set(_integers("keep", keep)))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= n:
@@ -164,67 +164,53 @@ def partial_trace(rho, dims, keep):
     return np.trace(blocks.reshape(d, total // d, d, total // d), axis1=1, axis2=3)
 
 
-def _schmidt_factor(amplitudes, dims, keep):
-    """(d, D/d) matrix F of a pure state whose reduced state over `keep` is F F^†.
+def _run_matrix(amplitudes, dims, run):
+    """(d, left*right) matrix of a state's amplitudes over `run`, with left and right.
 
-    Row i holds the amplitudes of kept basis state i against every basis
-    state of the rest, so F's column count bounds the reduced state's rank.
-    The kept subsystems must form a run k0..k0+n-1 of adjacent ones (in any
-    listed order; ValueError otherwise), so one reshape of the amplitudes to
-    (left, d, right) isolates them, as in apply_unitary.
+    `run` is a tuple r0..r0+k-1 of adjacent subsystems in ascending order
+    (ValueError otherwise), so the amplitudes are a (left, d, right) array:
+    row i holds those of run basis state i against every basis state of the
+    rest. A view when left is 1 and one C-contiguous copy otherwise.
     """
     amp = _as_complex(amplitudes).reshape(-1)
-    dims = list(dims)
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    k0, k1 = keep[0], keep[-1] + 1
-    if k0 < 0 or k1 > len(dims):
-        raise ValueError("subsystem index out of range")
-    if k1 - k0 != len(keep):
-        raise ValueError(f"keep {keep} is not a run of adjacent subsystems")
-    d = math.prod(dims[k0:k1])
-    left = math.prod(dims[:k0])
-    return amp.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
+    r0 = run[0] if run else 0
+    r1 = r0 + len(run)
+    if r0 < 0 or r1 > len(dims) or run != tuple(range(r0, r1)):
+        raise ValueError(f"subsystems {list(run)} are not an ascending run "
+                         f"of the {len(dims)} subsystems")
+    left, d, right = math.prod(dims[:r0]), math.prod(dims[r0:r1]), math.prod(dims[r1:])
+    return amp.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1), left, right
 
 
-def reduced_density(amplitudes, dims, keep, *, factor=None):
-    """Reduced density matrix of a pure state, without forming the full rho.
+def reduced_density(amplitudes, dims, keep):
+    """Reduced DensityMatrix of a pure state, with its Schmidt factor.
 
     Equivalent to partial_trace(outer(psi, psi*), dims, keep) but costs
-    O(D * d) instead of O(D**2); `keep` must be a run of adjacent
-    subsystems (ValueError otherwise). A caller that already holds the
-    state's Schmidt factor over `keep` passes it as `factor`, and it is used
-    instead of being formed again.
+    O(D * d) instead of O(D**2). `keep` names a run of adjacent subsystems,
+    in any order (ValueError otherwise). The factor F is the amplitudes as a
+    kept x traced matrix, and the matrix is F F^†.
     """
-    f = _schmidt_factor(amplitudes, dims, keep) if factor is None else factor
-    return f @ f.conj().T
+    keep = tuple(sorted(set(_integers("keep", keep))))
+    if not keep:
+        raise ValueError("keep must name at least one subsystem")
+    f = _run_matrix(amplitudes, dims, keep)[0]
+    return DensityMatrix(f @ f.conj().T, tuple(dims[i] for i in keep), factor=f)
 
 
 def apply_unitary(amplitudes, dims, op, targets):
     """Apply an operator on the `targets` subsystems of a state vector.
 
-    The targets must be an ascending run t0..t0+k-1 of subsystems (ValueError
+    The targets must be an ascending run of subsystems (ValueError
     otherwise), and `op` square with dimension prod(dims[i] for i in
-    targets), its rows and columns ordered as the targets are. The
-    amplitudes are then a (left, d_t, right) array and the operator is one
-    matrix product on its (d_t, left*right) transpose, a view when left is 1
-    and one C-contiguous copy otherwise.
+    targets), its rows and columns ordered as the targets are: one matrix
+    product on the run's (d_t, left*right) matrix.
     """
-    amp = _as_complex(amplitudes).reshape(-1)
-    dims = list(dims)
-    targets = list(targets)
-    t0 = targets[0] if targets else 0
-    if t0 < 0 or targets != list(range(t0, t0 + len(targets))):
-        raise ValueError(f"targets {targets} are not an ascending run of subsystems")
-    d_t = math.prod(dims[i] for i in targets)
+    targets = _integers("targets", targets)
+    mat, left, right = _run_matrix(amplitudes, dims, targets)
     op = _as_complex(op)
-    if op.shape != (d_t, d_t):
-        raise ValueError(f"operator shape {op.shape} does not match targets {targets}")
-    left = math.prod(dims[:t0])
-    right = math.prod(dims[t0 + len(targets):])
-    mat = amp.reshape(left, d_t, right).transpose(1, 0, 2).reshape(d_t, left * right)
-    return (op @ mat).reshape(d_t, left, right).transpose(1, 0, 2).reshape(-1)
+    if op.shape != (mat.shape[0],) * 2:
+        raise ValueError(f"operator shape {op.shape} does not match targets {list(targets)}")
+    return (op @ mat).reshape(-1, left, right).transpose(1, 0, 2).reshape(-1)
 
 
 def _hermitian(h, caller):
@@ -345,11 +331,13 @@ def haar_unitary(dim, rng, columns=None):
     rounding; bit for bit with one BLAS thread) at the cost of a dim x c
     QR.
     """
-    check_dim(dim)
+    dim = check_dim(_integer("dim", dim))
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if columns is not None and not 1 <= columns <= dim:
-        raise ValueError(f"columns must be in [1, {dim}], got {columns}")
+    if columns is not None:
+        columns = _integer("columns", columns)
+        if not 1 <= columns <= dim:
+            raise ValueError(f"columns must be in [1, {dim}], got {columns}")
     if dim == 2:
         # the closed-form 2x2 QR costs less than a LAPACK one of a column
         g = rng.standard_normal(8)
@@ -380,6 +368,7 @@ def random_complementary_projectors(dim, rank0, rng):
     -------
     (p0, p1) : projectors with p0 + p1 = 1, p0 @ p1 = 0, trace(p0) = rank0.
     """
+    dim, rank0 = _integer("dim", dim), _integer("rank0", rank0)
     if not 1 <= rank0 < dim:
         raise ValueError(f"rank0 must satisfy 1 <= rank0 < dim, got {rank0}/{dim}")
     m = rng.standard_normal((dim, dim))
@@ -418,18 +407,8 @@ class StateVector:
             apply_unitary(self.amplitudes, self.dims, op, targets), self.dims)
 
     def reduced(self, keep):
-        """Reduced DensityMatrix over a run of adjacent kept subsystems.
-
-        Raises ValueError for any other set. It keeps its Schmidt factor when
-        the kept dimension d exceeds the traced one D/d, the only case where
-        the factor bounds the rank below d; a wider factor would be a copy of
-        the whole state.
-        """
-        keep = sorted(set(keep))
-        f = _schmidt_factor(self.amplitudes, self.dims, keep)
-        mat = reduced_density(self.amplitudes, self.dims, keep, factor=f)
-        factor = f if mat.shape[0] ** 2 > self.amplitudes.size else None
-        return DensityMatrix(mat, tuple(self.dims[i] for i in keep), factor=factor)
+        """reduced_density of this state over a run of adjacent subsystems."""
+        return reduced_density(self.amplitudes, self.dims, keep)
 
 
 @dataclass(frozen=True)
@@ -437,9 +416,10 @@ class DensityMatrix:
     """Density matrix plus the subsystem dimensions, integers.
 
     `factor`, when known, is a (dim, r) matrix with matrix = factor @
-    factor^†; r bounds the rank. StateVector.reduced keeps the Schmidt
-    factor here when r is below the dimension, so the discrimination can
-    work in the span of the states instead of the whole space.
+    factor^†; r bounds the rank. reduced_density stores the Schmidt factor
+    here, whatever r is; the discrimination works in the span of the states
+    instead of the whole space when the two factors have fewer columns in
+    total than the dimension.
     """
 
     matrix: np.ndarray

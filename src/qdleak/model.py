@@ -67,11 +67,21 @@ def cz(alpha):
     return HADAMARD_GATE @ cx(alpha) @ HADAMARD_GATE
 
 
+def _check_coupling(epsilon, alpha):
+    """ValueError unless epsilon is in [0, 1] (NaN fails) and alpha is finite."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
 def coupling_pq(epsilon, alpha):
     """(p, q, sqrt(p**2 + q**2)) of the noisy coupling; raises at p = q = 0.
 
     p = epsilon + (1-epsilon) sin(alpha), q = (1-epsilon) cos(alpha).
+    ValueError unless epsilon is in [0, 1] and alpha is finite.
     """
+    _check_coupling(epsilon, alpha)
     p = epsilon + (1.0 - epsilon) * math.sin(alpha)
     q = (1.0 - epsilon) * math.cos(alpha)
     n2 = p * p + q * q
@@ -171,10 +181,7 @@ class ScenarioSpec:
             raise ValueError("qubits_per_layer must be in 1..8")
         if 2 + self.n_layers * self.qubits_per_layer > 14:
             raise ValueError("total qubit count 2 + n_layers*qubits_per_layer exceeds 14")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        _check_coupling(self.epsilon, self.alpha)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == MODE_ANALYTIC and self.qubits_per_layer != 1:

@@ -265,6 +265,20 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_file_repeated_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "twice.csv"
+    conf = tmp_path / "twice.conf"
+    # eve-layer and eve_layer are one key
+    for text, lines in (("seed = 7\nreps = 1\nseed = 8\n", (1, 3)),
+                        ("eve-layer = 1\neve_layer = 1\n", (1, 2))):
+        conf.write_text(text, encoding="utf-8")
+        assert run_cli(["layers-table", "--config", str(conf), "--jobs", "1",
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{conf}:{lines[1]}:" in err and f"line {lines[0]}" in err
+        assert not out.exists()
+
+
 def test_config_file_syntax_error_exits_2(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("seed 11\n", encoding="utf-8")

@@ -142,6 +142,28 @@ def test_subset_rejects_bad_indices_and_layer_dimension():
         subset_pguess(np.eye(3) / 3, np.eye(3) / 3, (0,))
 
 
+def layer_state_pair():
+    out0, out1 = run_exchange_pair(ScenarioSpec("computational", 0, 1, 3, 0.0, seed=7))
+    return out0.rho_eve_layer, out1.rho_eve_layer
+
+
+def test_subset_indices_must_be_integers():
+    rho0, rho1 = layer_state_pair()
+    for subset in ((1.9,), (1.0,), (None,)):
+        with pytest.raises(ValueError, match="integer"):
+            subset_pguess(rho0, rho1, subset)
+    assert subset_pguess(rho0, rho1, (np.int64(1),)) == subset_pguess(rho0, rho1, (1,))
+
+
+def test_antenna_ranks_must_be_nonnegative_integers():
+    rho0, rho1 = layer_state_pair()
+    for ks in ([1.5], [1.0], [None], [-1], [0, -2]):
+        with pytest.raises(ValueError):
+            nested_control_pguess(rho0, rho1, ks, np.random.default_rng(0))
+    got = nested_control_pguess(rho0, rho1, [np.int64(1)], np.random.default_rng(0))
+    assert got == nested_control_pguess(rho0, rho1, [1], np.random.default_rng(0))
+
+
 def test_nested_control_monotone_per_draw():
     rng = np.random.default_rng(4)
     for seed in range(20):
@@ -236,6 +258,14 @@ def test_analytic_pguess_monotone_in_layers():
 def test_analytic_degeneracy():
     with pytest.raises(DegeneracyError):
         analytic_pguess(2, 0.5, 3 * math.pi / 2)
+
+
+def test_closed_form_layer_count_must_be_an_integer():
+    for closed_form in (analytic_pguess, analytic_key_rate, keyrate_variant_report):
+        for n_layers in (1.5, 1.0, None):
+            with pytest.raises(ValueError, match="integer"):
+                closed_form(n_layers, 0.5)
+    assert analytic_pguess(np.int64(2), 0.5) == analytic_pguess(2, 0.5)
 
 
 def test_analytic_key_rate_values():

@@ -6,7 +6,8 @@ from scalars, must equal the numpy expressions they replace bit for bit;
 the Hadamard-frame conditional, a product of conjugated 2x2 factors, must
 match the dense conjugate H U H; `decoherence_factor`'s scalar overlap must
 match the trace of matrix products; `StateVector.reduced` must form the
-Schmidt factor once; the closed-form
+Schmidt factor once, and the guesses made with the factor always attached
+must equal those of the thresholded factor it replaced; the closed-form
 2x2 `orthonormalize_qr` must match LAPACK's QR with the positive-diagonal
 phase fix and raise exactly where the SVD finds the input rank-deficient;
 the larger `orthonormalize_qr`, which tests rank on R's diagonal, must equal
@@ -489,7 +490,7 @@ def test_schmidt_factor_of_a_run_is_bit_identical_to_moving_axes(run, seed):
     dims = [2] * n
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    got = linalg._schmidt_factor(amp, dims, keep)
+    got = reduced_density(amp, dims, keep).factor
     assert np.array_equal(bits(got), bits(reference_schmidt_factor(amp, dims, keep)))
 
 
@@ -540,11 +541,9 @@ def check_route(rho0, rho1):
 @given(layer_state_pairs())
 def test_factor_reproduces_the_reduced_matrix_bit_for_bit(pair):
     for rho in pair:
-        # kept only when the layer outweighs the 4-dimensional rest
-        assert (rho.factor is not None) == (rho.dim > 4)
-        if rho.factor is not None:
-            assert rho.factor.shape == (rho.dim, 4)
-            assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(rho.matrix))
+        # always attached, one column per basis state of the 4-dimensional rest
+        assert rho.factor.shape == (rho.dim, 4)
+        assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(rho.matrix))
 
 
 @PROPERTY
@@ -631,17 +630,17 @@ def test_reduced_forms_the_schmidt_factor_once(keep, monkeypatch):
             state.reduced(keep)
         return
     calls = []
-    original = linalg._schmidt_factor
+    original = linalg._run_matrix
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(linalg, "_schmidt_factor", counted)
+    monkeypatch.setattr(linalg, "_run_matrix", counted)
     rho = state.reduced(keep)
     assert len(calls) == 1
     monkeypatch.undo()
-    want = reduced_density(state.amplitudes, state.dims, keep)
+    want = reduced_density(state.amplitudes, state.dims, keep).matrix
     assert np.array_equal(bits(rho.matrix), bits(want))
     assert rho.factor is not None
     assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(want))
@@ -653,6 +652,44 @@ def test_factor_with_the_wrong_row_count_is_rejected():
         with pytest.raises(ValueError):
             DensityMatrix(rho, (2, 2), factor=factor)
     assert DensityMatrix(rho, (2, 2), factor=np.eye(4) / 2).factor.shape == (4, 4)
+
+
+def threshold_then_reduce(state, keep):
+    """The reduction reduced_density replaced, frozen as its reference.
+
+    It formed the Schmidt factor F of the kept run and kept it on the
+    DensityMatrix only when the kept dimension d had d * d > D.
+    """
+    keep = sorted(set(keep))
+    k0, k1 = keep[0], keep[-1] + 1
+    d = math.prod(state.dims[k0:k1])
+    left = math.prod(state.dims[:k0])
+    f = state.amplitudes.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
+    mat = f @ f.conj().T
+    factor = f if d * d > state.amplitudes.size else None
+    return DensityMatrix(mat, tuple(state.dims[i] for i in keep), factor=factor)
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("nl", (1, 2, 3))
+def test_always_attached_factor_keeps_every_guess_bit_for_bit(nl, basis):
+    # the route that _signed_factor picks for the always-attached factor is
+    # the one the thresholded factor took, so every value is unchanged
+    for ne in range(1, 8):
+        if 2 + nl * ne > 14:
+            continue
+        spec = ScenarioSpec(basis=basis, key_bit=0, n_layers=nl, qubits_per_layer=ne,
+                            epsilon=0.4, alpha=0.3, seed=1000 * nl + ne)
+        states = [out.global_state for out in run_exchange_pair(spec)]
+        for layer in range(1, nl + 1):
+            keep = spec.layer_qubits(layer)
+            new = [reduced_density(s.amplitudes, s.dims, keep) for s in states]
+            old = [threshold_then_reduce(s, keep) for s in states]
+            assert helstrom_pguess(*new) == helstrom_pguess(*old), (ne, layer)
+            ks = range(ne + 1)
+            got = nested_control_pguess(*new, ks, np.random.default_rng(ne))
+            want = nested_control_pguess(*old, ks, np.random.default_rng(ne))
+            assert got == want, (ne, layer)
 
 
 # ------------------------------------------------------ basis equivalence

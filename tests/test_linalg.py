@@ -120,6 +120,14 @@ def test_partial_trace_index_out_of_range():
         partial_trace(rho, (2, 2), set())
 
 
+def test_partial_trace_keep_must_be_integers():
+    rho = np.eye(4) / 4
+    for keep in ((0.0,), (1.5,), (None,)):
+        with pytest.raises(ValueError, match="integer"):
+            partial_trace(rho, (2, 2), keep)
+    np.testing.assert_array_equal(partial_trace(rho, (2, 2), (np.int64(1),)), np.eye(2) / 2)
+
+
 def einsum_partial_trace(rho, dims, keep):
     """The einsum form partial_trace replaced, frozen as its reference."""
     n = len(dims)
@@ -153,13 +161,26 @@ def test_reduced_density_matches_partial_trace():
     rho = np.outer(psi, psi.conj())
     for keep in ({0}, {1}, {2}, {1, 2}):
         np.testing.assert_allclose(
-            reduced_density(psi, dims, keep),
+            reduced_density(psi, dims, keep).matrix,
             partial_trace(rho, dims, keep), atol=1e-12)
     # only partial_trace keeps subsystems that are not adjacent
     with pytest.raises(ValueError):
         reduced_density(psi, dims, {0, 2})
     with pytest.raises(ValueError):
         StateVector(psi, dims).reduced({0, 2})
+
+
+def test_reduced_density_keep_must_be_integers():
+    psi = random_state(24, np.random.default_rng(11))
+    dims = (2, 3, 4)
+    for keep in ((0.0,), (1.5, 2), (None,)):
+        with pytest.raises(ValueError, match="integer"):
+            reduced_density(psi, dims, keep)
+        with pytest.raises(ValueError, match="integer"):
+            StateVector(psi, dims).reduced(keep)
+    want = reduced_density(psi, dims, (1, 2))
+    got = reduced_density(psi, dims, (np.int64(2), np.int64(1)))
+    np.testing.assert_array_equal(got.matrix, want.matrix)
 
 
 # ------------------------------------------------------------ herm_eig
@@ -306,6 +327,14 @@ def test_haar_first_entry_moment():
     assert abs(mean - 0.25) < 0.01
 
 
+def test_haar_unitary_sizes_must_be_integers():
+    rng = np.random.default_rng(0)
+    for dim, columns in ((2.0, None), (3.0, None), (4, 2.0), (4, 1.5)):
+        with pytest.raises(ValueError, match="integer"):
+            haar_unitary(dim, rng, columns)
+    assert haar_unitary(np.int64(3), rng, np.int64(2)).shape == (3, 2)
+
+
 # ------------------------------------- random_complementary_projectors
 
 def test_projector_pair_qubit_case():
@@ -332,6 +361,15 @@ def test_projector_rank_out_of_range():
         random_complementary_projectors(4, 0, rng)
     with pytest.raises(ValueError):
         random_complementary_projectors(4, 4, rng)
+
+
+def test_projector_dims_must_be_integers():
+    rng = np.random.default_rng(0)
+    for dim, rank0 in ((4.0, 2), (4, 2.0), (4, None)):
+        with pytest.raises(ValueError, match="integer"):
+            random_complementary_projectors(dim, rank0, rng)
+    p0, _ = random_complementary_projectors(np.int64(4), np.int64(2), rng)
+    assert abs(np.trace(p0).real - 2.0) < 1e-10
 
 
 # ------------------------------------------------------- state classes
@@ -367,6 +405,22 @@ def test_apply_unitary_matches_dense_kron():
     # targets in reversed order are no ascending run
     with pytest.raises(ValueError):
         apply_unitary(psi, (2, 2, 2), v, (2, 1))
+
+
+def test_apply_unitary_targets_must_be_integers():
+    rng = np.random.default_rng(13)
+    psi = random_state(8, rng)
+    u = haar_unitary(2, rng)
+    for targets in ((1.0,), (0.5,), (None,)):
+        with pytest.raises(ValueError, match="integer"):
+            apply_unitary(psi, (2, 2, 2), u, targets)
+    np.testing.assert_array_equal(apply_unitary(psi, (2, 2, 2), u, (np.int64(1),)),
+                                  apply_unitary(psi, (2, 2, 2), u, (1,)))
+    # a target past the last subsystem is no run of them
+    with pytest.raises(ValueError):
+        apply_unitary(psi, (2, 2, 2), u, (3,))
+    # the empty run scales the state by a 1x1 operator
+    np.testing.assert_array_equal(apply_unitary(psi, (2, 2, 2), [[2.0]], ()), 2 * psi)
 
 
 def test_density_matrix_validate():

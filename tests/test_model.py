@@ -16,6 +16,7 @@ from qdleak.model import (
     build_initial_state,
     build_interaction_chain,
     build_premeasurement,
+    coupling_pq,
     cx,
     cz,
     decoherence_factor,
@@ -83,6 +84,17 @@ def test_q_prime_degenerate_coupling():
     # p = 0.5 + 0.5*sin(3pi/2) = 0 and q = 0.5*cos(3pi/2) = 0
     with pytest.raises(DegeneracyError):
         q_prime(0.5, 3 * math.pi / 2)
+
+
+@pytest.mark.parametrize("eps,alpha", [
+    (2.0, 0.0), (-0.1, 0.0), (math.nan, 0.0), (0.5, math.inf), (0.5, -math.inf),
+    (0.5, math.nan),
+])
+def test_coupling_refuses_epsilon_outside_unit_interval_and_nonfinite_alpha(eps, alpha):
+    # p and q have one home, so the closed forms and q_prime refuse alike
+    for coupling in (coupling_pq, q_prime):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]|alpha must be finite"):
+            coupling(eps, alpha)
 
 
 @pytest.mark.parametrize("eps,alpha", [
