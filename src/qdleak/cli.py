@@ -86,7 +86,7 @@ def _joined(argv):
 def parse_config_file(path):
     """Parse a flat `key = value` file; '#' starts a comment; a key is given once."""
     values, first_line = {}, {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -80,6 +80,14 @@ def _integers(name, values):
         return tuple(_integer(name, v) for v in values)
 
 
+def _dims(dims):
+    """Subsystem dimensions as a tuple of positive integers, and their product."""
+    dims = _integers("dims", dims)
+    if min(dims, default=1) < 1:
+        raise ValueError("subsystem dimensions must be positive")
+    return dims, math.prod(dims)
+
+
 def check_dim(dim):
     if dim > DIM_LIMIT:
         raise DimensionLimitError(
@@ -389,10 +397,8 @@ class StateVector:
 
     def __post_init__(self):
         amp = _as_complex(self.amplitudes).reshape(-1)
-        dims = _integers("dims", self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
-        if amp.size != math.prod(dims):
+        dims, size = _dims(self.dims)
+        if amp.size != size:
             raise ValueError(
                 f"{amp.size} amplitudes do not match dims {dims}")
         object.__setattr__(self, "amplitudes", amp)
@@ -428,8 +434,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
-        dims = _integers("dims", self.dims)
-        d = int(np.prod(dims))
+        dims, d = _dims(self.dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         object.__setattr__(self, "matrix", mat)

@@ -15,12 +15,9 @@ Two interaction modes are supported:
   noisy unitaries QR(epsilon*I + (1-epsilon)*V) with V Haar-random, and whose
   interior projector pairs come from random real symmetric matrices.
 
-The per-qubit draw works on scalars: epsilon*I + (1-epsilon)*V is formed
-with its real and imaginary parts written out as numpy's complex loops form
-them, so the bits match the array expression and no Python version's mixed
-float/complex rules enter. A Hadamard-basis chain conjugates each 2x2 factor
-and takes the conditional as their product; the decoherence factor reads
-each qubit's overlap from the 2x2 entries.
+A Hadamard-basis chain conjugates each 2x2 factor and takes the conditional
+as their product; the decoherence factor reads each qubit's overlap from the
+2x2 entries.
 
 Everything is drawn from a seeded generator in a fixed order, so a scenario
 is a pure function of its spec.
@@ -123,8 +120,10 @@ def _frozen(a):
     return a
 
 
-# the first link's source projectors, fixed for every chain and shared read-only
+# the first link's source projectors and the identity term of every noisy
+# coupling, fixed for every chain and shared read-only
 _COMPUTATIONAL_PROJECTORS = tuple(_frozen(p) for p in basis_projectors(COMPUTATIONAL))
+_EYE2 = _frozen(np.eye(2, dtype=complex))
 
 # entries of the state |e0><e0| of every fresh environment qubit, e0 the
 # basis's first pointer state
@@ -251,27 +250,8 @@ def _conjugate_all(mat, n_qubits):
 
 
 def _noisy_qubit_unitary(epsilon, rng):
-    """QR(epsilon*I + (1-epsilon)*V) for a Haar-random 2x2 V.
-
-    The sum is formed from scalars as numpy forms it from arrays: a real
-    factor r multiplies as the complex (r, 0), (r, 0) * (x, y) =
-    (r*x - 0*y, r*y + 0*x), and the two terms add part by part. The real
-    and imaginary parts are written out, so no Python mixed float/complex
-    rule enters the bits.
-    """
-    (v00, v01), (v10, v11) = haar_unitary(2, rng).tolist()
-    # epsilon * I: (epsilon, 0) * (1, 0) on the diagonal, * (0, 0) off it
-    diag_re, diag_im = epsilon * 1.0 - 0.0 * 0.0, epsilon * 0.0 + 0.0 * 1.0
-    off_re, off_im = epsilon * 0.0 - 0.0 * 0.0, epsilon * 0.0 + 0.0 * 0.0
-    c = 1.0 - epsilon
-
-    def entry(i_re, i_im, v):
-        x, y = v.real, v.imag
-        return complex(i_re + (c * x - 0.0 * y), i_im + (c * y + 0.0 * x))
-
-    return orthonormalize_qr(np.array([
-        [entry(diag_re, diag_im, v00), entry(off_re, off_im, v01)],
-        [entry(off_re, off_im, v10), entry(diag_re, diag_im, v11)]]))
+    """QR(epsilon*I + (1-epsilon)*V) for a Haar-random 2x2 V; numpy forms the sum."""
+    return orthonormalize_qr(epsilon * _EYE2 + (1.0 - epsilon) * haar_unitary(2, rng))
 
 
 def build_interaction_chain(spec, rng):

@@ -265,6 +265,16 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_file_with_byte_order_mark_is_read(tmp_path):
+    conf = tmp_path / "bom.conf"
+    conf.write_text("seed = 7\n", encoding="utf-8-sig")
+    assert conf.read_bytes().startswith(b"\xef\xbb\xbf")
+    common = ["conjecture-check", "--eps-grid", "0.5", "--nl-grid", "1", "--jobs", "1"]
+    assert run_cli(common + ["--config", str(conf), "--out", str(tmp_path / "file.csv")]) == 0
+    assert run_cli(common + ["--seed", "7", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
 def test_config_file_repeated_key_exits_2(tmp_path, capsys):
     out = tmp_path / "twice.csv"
     conf = tmp_path / "twice.conf"

@@ -428,3 +428,7 @@ def test_density_matrix_validate():
     DensityMatrix(random_density(4, rng), (2, 2)).validate()
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4), (2, 2)).validate()  # trace 4
+    # a non-positive subsystem dimension is refused, as StateVector refuses it
+    for mat, dims in ((np.eye(1), (-1, -1)), (np.zeros((0, 0)), (0,))):
+        with pytest.raises(ValueError, match="subsystem dimensions must be positive"):
+            DensityMatrix(mat, dims)

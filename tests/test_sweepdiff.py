@@ -56,6 +56,14 @@ def test_perturbed_constant_is_flagged(table, parent_run, tmp_path):
     assert rows["decoherence-sweep"][-1] == "ok"
 
 
+def test_command_table_holds_the_default_variants(table):
+    assert table["layers-table-eve-layer-2"]("x.csv", 1) == [
+        "layers-table", "--eve-layer", "2", "--nl-grid", "2,3", "--reps", "5",
+        "--jobs", "1", "--out", "x.csv"]
+    assert table["pguess-vs-epsilon-alpha-0.3"]("x.csv", 2) == [
+        "pguess-vs-epsilon", "--alpha", "0.3", "--reps", "5", "--jobs", "2", "--out", "x.csv"]
+
+
 def test_main_refuses_a_tree_without_qdleak(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         sweepdiff.main([str(SRC), str(tmp_path)])

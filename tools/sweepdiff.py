@@ -7,7 +7,9 @@ command runs at --jobs 1 and at --jobs 2, each in a fresh interpreter whose
 path starts with the tree's `src`:
 
 - the five default sweeps at --reps 5;
-- partial-control-table --control-mode subset, at --reps 5;
+- at --reps 5 too, these variants of them: partial-control-table
+  --control-mode subset, layers-table --eve-layer 2 --nl-grid 2,3 and
+  pguess-vs-epsilon --alpha 0.3;
 - every warm-up and workload command of perfbench/workloads.py, with
   perfbench's default seed.
 
@@ -71,6 +73,9 @@ def command_table():
         add(name, qdleak_default(name))
     add("partial-control-table-subset",
         qdleak_default("partial-control-table", "--control-mode", "subset"))
+    add("layers-table-eve-layer-2",
+        qdleak_default("layers-table", "--eve-layer", "2", "--nl-grid", "2,3"))
+    add("pguess-vs-epsilon-alpha-0.3", qdleak_default("pguess-vs-epsilon", "--alpha", "0.3"))
     groups = [("warmup", WARMUP)] + [(w.name, w.commands) for w in WORKLOADS.values()]
     for group, commands in groups:
         for cmd in commands:
