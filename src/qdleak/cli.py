@@ -20,6 +20,7 @@ from .experiments import (
     DEFAULT_REPETITIONS,
     EXPERIMENTS,
     SweepConfig,
+    _cpu_count,
     run_and_write,
 )
 
@@ -44,8 +45,8 @@ def build_parser():
     parser.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS, metavar="N",
                         help="repetitions per grid point (default %(default)s; "
                              "conjecture-check's closed form always runs 1)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
-                        help="worker processes (default: logical core count)")
+    parser.add_argument("--jobs", type=int, default=_cpu_count(), metavar="N",
+                        help="worker processes (default: the CPUs this process may use)")
     parser.add_argument("--out", metavar="PATH",
                         help="output CSV path (default: <experiment>.csv)")
     parser.add_argument("--alpha", type=float, metavar="RADIANS",

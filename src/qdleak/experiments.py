@@ -97,9 +97,9 @@ class SweepConfig:
     Building a config checks it whole, raising ValueError: types and ranges,
     then an optional setting (eve_layer, control_mode, basis) the experiment
     does not read; unset settings (None or an empty grid) then take the
-    experiment's defaults, the fixed and pinned grids are checked and the
-    seed-0 scenario of every grid point is built. Integer settings and ne/nl
-    grid entries take Python or numpy integers; only eve_layer may be None.
+    experiment's defaults, each grid is checked for repeats and its fixed or
+    pinned value, and each point's seed-0 scenario is built. Integer settings
+    and ne/nl grid entries take Python or numpy integers; only eve_layer may be None.
     """
 
     experiment: str
@@ -137,10 +137,6 @@ class SweepConfig:
         # NaN fails both comparisons, so this also rejects non-finite values
         if not all(0.0 <= e <= 1.0 for e in self.eps_grid):
             raise ValueError(f"every epsilon must be finite and in [0, 1], got {self.eps_grid}")
-        for grid in _GRID_COLUMNS:
-            values = getattr(self, grid)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{grid} repeats a value: {values}")
         # the experiment's table; its refusals come before any scenario is built
         sweep = _SWEEPS[self.experiment]
         for name in ("eve_layer", "control_mode", "basis"):
@@ -151,6 +147,8 @@ class SweepConfig:
                 object.__setattr__(self, name, value)
         for grid, column in _GRID_COLUMNS.items():
             values = getattr(self, grid)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{grid} repeats a value: {values}")
             if column not in sweep.axes and len(values) != 1:
                 raise ValueError(f"{self.experiment} does not sweep {column}: "
                                  f"{grid} must hold one value, got {values}")
@@ -344,6 +342,15 @@ def _grid_point_job(config, point):
     return rows
 
 
+def _cpu_count():
+    """CPUs this process may run on; an affinity mask can leave fewer than the host has."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(jobs, n_points, cpu_count):
     """Worker processes for a sweep: at most one per grid point and per CPU."""
     return max(1, min(jobs, n_points, cpu_count or 1))
@@ -406,7 +413,7 @@ def run_experiment(config):
     """
     points = _points(config)
     bound = partial(_grid_point_job, config)
-    workers = pool_size(config.jobs, len(points), os.cpu_count())
+    workers = pool_size(config.jobs, len(points), _cpu_count())
     with _one_blas_thread():
         if workers > 1:
             import multiprocessing

@@ -198,10 +198,6 @@ class ScenarioSpec:
     def qubit_dims(self):
         return (2,) * self.n_qubits
 
-    @property
-    def layer_dim(self):
-        return 2 ** self.qubits_per_layer
-
     def layer_qubits(self, layer):
         """Global qubit indices of a layer (1-based layer numbering)."""
         if not 1 <= layer <= self.n_layers:
@@ -279,8 +275,7 @@ def build_interaction_chain(spec, rng):
         if l == 0 or spec.mode == MODE_ANALYTIC:
             p0, p1 = _COMPUTATIONAL_PROJECTORS
         else:
-            p0, p1 = random_complementary_projectors(
-                spec.layer_dim, spec.layer_dim // 2, rng)
+            p0, p1 = random_complementary_projectors(2 ** ne, 2 ** (ne - 1), rng)
 
         if spec.mode == MODE_ANALYTIC:
             factors = [q_prime(spec.epsilon, spec.alpha)]
@@ -431,9 +426,7 @@ def decoherence_factor(spec, params):
         (a, b), (c, d) = f1.tolist()
         gammas.append(r00 * a.conjugate() + r01 * b.conjugate()
                       + r10 * c.conjugate() + r11 * d.conjugate())
-    sigma_off = 1.0  # |sigma_01| + |sigma_10| for the uniform superposition
-    gamma_prod = math.prod(abs(g) for g in gammas)
-    return sigma_off * gamma_prod
+    return math.prod(abs(g) for g in gammas)
 
 
 def decoherence_factor_from_state(spec, params):

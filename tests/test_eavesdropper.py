@@ -265,6 +265,8 @@ def test_closed_form_layer_count_must_be_an_integer():
         for n_layers in (1.5, 1.0, None):
             with pytest.raises(ValueError, match="integer"):
                 closed_form(n_layers, 0.5)
+        with pytest.raises(ValueError, match="n_layers must be >= 1"):
+            closed_form(0, 0.5)
     assert analytic_pguess(np.int64(2), 0.5) == analytic_pguess(2, 0.5)
 
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import math
+import os
 import types
 from dataclasses import replace
 
@@ -80,6 +81,8 @@ def test_sweep_config_validation():
         SweepConfig(experiment="layers_table", repetitions=0)
     with pytest.raises(ValueError):
         SweepConfig(experiment="layers_table", control_mode="spectral")
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        SweepConfig(experiment="layers_table", jobs=0)
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError):
             SweepConfig(experiment="layers_table", base_seed=seed)
@@ -179,6 +182,29 @@ def test_pool_size_is_bounded_by_points_and_cpus():
     assert pool_size(jobs=4, n_points=10, cpu_count=None) == 1
 
 
+# a host of two CPUs with this process pinned to one, as Python 3.13+ and older tell it
+@pytest.mark.parametrize("pinned", [dict(process_cpu_count=lambda: 1),
+                                    dict(sched_getaffinity=lambda pid: {0})],
+                         ids=["process_cpu_count", "sched_getaffinity"])
+def test_default_jobs_and_pool_count_only_the_cpus_the_process_may_use(pinned, monkeypatch):
+    import multiprocessing
+
+    from qdleak.cli import build_parser
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    for name, value in pinned.items():
+        monkeypatch.setattr(os, name, value, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert build_parser().parse_args(["layers-table"]).jobs == 1
+    config = SweepConfig(experiment="layers_table", eps_grid=(0.5, 0.7), nl_grid=(1,),
+                         repetitions=1, jobs=2)
+    assert len(run_experiment(config)) == 2
+
+
 # ------------------------------------------------------- BLAS threads
 # Only the thread-count setting is exercised: no thread or process starts.
 
@@ -212,6 +238,16 @@ def test_blas_pin_is_a_no_op_without_the_thread_symbols(monkeypatch):
     with experiments._one_blas_thread():
         pass
     assert calls == []
+
+
+def test_blas_pin_is_a_no_op_without_the_bundled_library(monkeypatch):
+    import glob
+
+    _clear_blas_vars(monkeypatch)
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    assert experiments._bundled_openblas() is None
+    with experiments._one_blas_thread():
+        pass
 
 
 def test_blas_pin_sets_one_thread_and_restores_the_count(monkeypatch):
@@ -359,6 +395,14 @@ def test_rerun_is_byte_identical(tmp_path):
     run_and_write(cfg)
     assert (tmp_path / "a.csv").read_bytes() == first
     assert b"\r" not in first  # LF endings only
+
+
+def test_default_output_path_is_named_after_the_experiment(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = SweepConfig(experiment="layers_table", eps_grid=(0.7,), nl_grid=(1,), **SMALL)
+    _, path = run_and_write(cfg)
+    assert path == "layers_table.csv"
+    assert [p.name for p in tmp_path.iterdir()] == [path]
 
 
 def test_parallel_pool_matches_serial(tmp_path):

@@ -118,6 +118,8 @@ def test_partial_trace_index_out_of_range():
         partial_trace(rho, (2, 2), {2})
     with pytest.raises(ValueError):
         partial_trace(rho, (2, 2), set())
+    with pytest.raises(ValueError, match="does not match dims"):
+        partial_trace(rho, (2, 3), {0})
 
 
 def test_partial_trace_keep_must_be_integers():
@@ -178,6 +180,8 @@ def test_reduced_density_keep_must_be_integers():
             reduced_density(psi, dims, keep)
         with pytest.raises(ValueError, match="integer"):
             StateVector(psi, dims).reduced(keep)
+    with pytest.raises(ValueError, match="at least one subsystem"):
+        reduced_density(psi, dims, ())
     want = reduced_density(psi, dims, (1, 2))
     got = reduced_density(psi, dims, (np.int64(2), np.int64(1)))
     np.testing.assert_array_equal(got.matrix, want.matrix)
@@ -332,6 +336,8 @@ def test_haar_unitary_sizes_must_be_integers():
     for dim, columns in ((2.0, None), (3.0, None), (4, 2.0), (4, 1.5)):
         with pytest.raises(ValueError, match="integer"):
             haar_unitary(dim, rng, columns)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        haar_unitary(0, rng)
     assert haar_unitary(np.int64(3), rng, np.int64(2)).shape == (3, 2)
 
 
@@ -405,6 +411,8 @@ def test_apply_unitary_matches_dense_kron():
     # targets in reversed order are no ascending run
     with pytest.raises(ValueError):
         apply_unitary(psi, (2, 2, 2), v, (2, 1))
+    with pytest.raises(ValueError, match="does not match targets"):
+        apply_unitary(psi, (2, 2, 2), v, (1,))
 
 
 def test_apply_unitary_targets_must_be_integers():
@@ -428,6 +436,12 @@ def test_density_matrix_validate():
     DensityMatrix(random_density(4, rng), (2, 2)).validate()
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4), (2, 2)).validate()  # trace 4
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]), (2,)).validate()
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(np.diag([1.5, -0.5]), (2,)).validate()
+    with pytest.raises(ValueError, match="does not match dims"):
+        DensityMatrix(np.eye(3) / 3, (2, 2))
     # a non-positive subsystem dimension is refused, as StateVector refuses it
     for mat, dims in ((np.eye(1), (-1, -1)), (np.zeros((0, 0)), (0,))):
         with pytest.raises(ValueError, match="subsystem dimensions must be positive"):

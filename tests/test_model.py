@@ -11,6 +11,7 @@ from qdleak.linalg import orthonormalize_qr
 from qdleak.model import (
     COMPUTATIONAL,
     HADAMARD,
+    ChainLink,
     DecoherenceFactorParams,
     ScenarioSpec,
     build_initial_state,
@@ -281,6 +282,13 @@ def test_eve_layer_override():
         haar_spec(n_layers=2, eve_layer=3)
 
 
+def test_norm_drift_after_a_link_is_a_contract_violation(monkeypatch):
+    operator = ChainLink.operator
+    monkeypatch.setattr(ChainLink, "operator", lambda link: 1.1 * operator(link))
+    with pytest.raises(ContractError, match="norm drifted"):
+        run_exchange(haar_spec())
+
+
 def test_bitflip_symmetry_of_perfect_analytic_chain():
     # at epsilon=0, alpha=0 the chain is an exact bit copy, so swapping the
     # key bit conjugates the leaked layer by X
@@ -314,8 +322,18 @@ def test_scenario_validation():
         haar_spec(epsilon=1.5)
     with pytest.raises(ValueError):
         haar_spec(basis="diagonal")
+    with pytest.raises(ValueError, match="unknown basis"):
+        build_premeasurement("diagonal", 0.0)
     with pytest.raises(ValueError):
         haar_spec(key_bit=2)
+    with pytest.raises(ValueError, match="n_layers must be in 1..8"):
+        haar_spec(n_layers=0)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        haar_spec(mode="dense")
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        haar_spec(seed=2 ** 64)
+    with pytest.raises(ValueError, match="out of range"):
+        haar_spec().layer_qubits(2)
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="alpha"):
             haar_spec(alpha=alpha)
@@ -367,6 +385,10 @@ def test_gamma_params_validation():
     assert params.used_qubits(5) == 2  # floor(0.5 * 5)
     with pytest.raises(ValueError):
         params.used_qubits(1)  # floor(0.5 * 1) = 0 monitored qubits
+    with pytest.raises(ValueError, match="requires all first-layer qubits"):
+        decoherence_factor_from_state(haar_spec(), params)
+    with pytest.raises(ValueError, match="pointer_basis must be one of"):
+        DecoherenceFactorParams(pointer_basis="diagonal")
 
 
 @pytest.mark.parametrize("basis", [COMPUTATIONAL, HADAMARD])

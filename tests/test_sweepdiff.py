@@ -64,6 +64,13 @@ def test_command_table_holds_the_default_variants(table):
         "pguess-vs-epsilon", "--alpha", "0.3", "--reps", "5", "--jobs", "2", "--out", "x.csv"]
 
 
+@pytest.mark.parametrize("name", ["layers-table", "pguess-vs-epsilon",
+                                  "partial-control-table"])
+def test_command_table_holds_the_hadamard_variants(table, name):
+    assert table[f"{name}-hadamard"]("x.csv", 2) == [
+        "hadamard", name.replace("-", "_"), "5", "2", "x.csv"]
+
+
 def test_main_refuses_a_tree_without_qdleak(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         sweepdiff.main([str(SRC), str(tmp_path)])

@@ -8,8 +8,10 @@ path starts with the tree's `src`:
 
 - the five default sweeps at --reps 5;
 - at --reps 5 too, these variants of them: partial-control-table
-  --control-mode subset, layers-table --eve-layer 2 --nl-grid 2,3 and
-  pguess-vs-epsilon --alpha 0.3;
+  --control-mode subset, layers-table --eve-layer 2 --nl-grid 2,3,
+  pguess-vs-epsilon --alpha 0.3, and the default grids of layers-table,
+  pguess-vs-epsilon and partial-control-table in the Hadamard basis, which
+  no flag selects, so the runner builds their SweepConfig itself;
 - every warm-up and workload command of perfbench/workloads.py, with
   perfbench's default seed.
 
@@ -38,13 +40,17 @@ from workloads import WARMUP, WORKLOADS  # noqa: E402
 
 DEFAULT_COMMANDS = ("decoherence-sweep", "pguess-vs-epsilon", "partial-control-table",
                     "layers-table", "conjecture-check")
+# default sweeps also run in the Hadamard basis; the rank antenna of
+# partial-control-table is the one reading that depends on the frame
+HADAMARD_COMMANDS = ("layers-table", "pguess-vs-epsilon", "partial-control-table")
 REPS = 5
 PERFBENCH_SEED = 101  # perfbench/run.py's default --seed
 JOBS = (1, 2)
 VALUE_COLUMNS = ("mean", "std")
 TOL = 1e-12  # the largest |Δmean| and |Δstd| accepted
 
-# argv: SRC then the qdleak arguments; refuses a qdleak imported from elsewhere
+# argv: SRC then the qdleak arguments, or SRC hadamard EXPERIMENT REPS JOBS OUT
+# for a default sweep in the Hadamard basis; refuses a qdleak imported from elsewhere
 _RUNNER = """
 import os, sys
 src = os.path.realpath(sys.argv[1])
@@ -52,7 +58,13 @@ sys.path.insert(0, src)
 import qdleak.cli
 if not os.path.realpath(qdleak.cli.__file__).startswith(src + os.sep):
     sys.exit(f"qdleak was imported from {qdleak.cli.__file__}, not from {src}")
-sys.exit(qdleak.cli.main(sys.argv[2:]))
+if sys.argv[2] != "hadamard":
+    sys.exit(qdleak.cli.main(sys.argv[2:]))
+from qdleak.experiments import SweepConfig, run_experiment, write_csv
+experiment, reps, jobs, out = sys.argv[3:]
+config = SweepConfig(experiment=experiment, repetitions=int(reps), jobs=int(jobs),
+                     basis="hadamard")
+write_csv(run_experiment(config), out)
 """
 
 
@@ -76,6 +88,10 @@ def command_table():
     add("layers-table-eve-layer-2",
         qdleak_default("layers-table", "--eve-layer", "2", "--nl-grid", "2,3"))
     add("pguess-vs-epsilon-alpha-0.3", qdleak_default("pguess-vs-epsilon", "--alpha", "0.3"))
+    for name in HADAMARD_COMMANDS:
+        add(f"{name}-hadamard",
+            lambda out, jobs, name=name: ["hadamard", name.replace("-", "_"), str(REPS),
+                                          str(jobs), str(out)])
     groups = [("warmup", WARMUP)] + [(w.name, w.commands) for w in WORKLOADS.values()]
     for group, commands in groups:
         for cmd in commands:
