@@ -178,7 +178,8 @@ def _run_matrix(amplitudes, dims, run):
     `run` is a tuple r0..r0+k-1 of adjacent subsystems in ascending order
     (ValueError otherwise), so the amplitudes are a (left, d, right) array:
     row i holds those of run basis state i against every basis state of the
-    rest. A view when left is 1 and one C-contiguous copy otherwise.
+    rest. A view when left or right is 1, and one C-contiguous copy when
+    the run touches neither end of the state.
     """
     amp = _as_complex(amplitudes).reshape(-1)
     r0 = run[0] if run else 0

@@ -1,10 +1,11 @@
 """System-apparatus-environment model of a single BB84 exchange.
 
-A round couples one signal qubit S to a measurement apparatus A, then lets
-the apparatus state spread into an environment organized as n_layers layers
-of qubits_per_layer qubits each. Information hops layer to layer through
-conditional unitaries: each link reads its source register through a
-complementary projector pair and rotates the next layer accordingly.
+A round is a sequence of hops, each a ChainLink P0 (x) I + P1 (x) U that
+reads its source register through a complementary projector pair and
+rotates its target. Hop 0, the premeasurement, couples the signal qubit S to
+the apparatus A; the links after it spread the apparatus state layer to
+layer into n_layers environment layers of qubits_per_layer qubits each. One
+loop applies every hop and checks the norm after each.
 
 Two interaction modes are supported:
 
@@ -19,8 +20,9 @@ A Hadamard-basis chain conjugates each 2x2 factor and takes the conditional
 as their product; the decoherence factor reads each qubit's overlap from the
 2x2 entries.
 
-Everything is drawn from a seeded generator in a fixed order, so a scenario
-is a pure function of its spec.
+build_initial_state, build_premeasurement and build_interaction_chain take
+only the spec; the chain is drawn from a generator seeded with spec.seed in
+a fixed order, so a scenario is a pure function of its spec.
 """
 
 import math
@@ -130,17 +132,6 @@ _EYE2 = _frozen(np.eye(2, dtype=complex))
 _FRESH_QUBIT = {basis: basis_projectors(basis)[0].tolist() for basis in BASES}
 
 
-def build_premeasurement(basis, alpha):
-    """4x4 unitary correlating the signal qubit with the apparatus.
-
-    computational: P0 (x) I + P1 (x) cx(alpha); hadamard: P+ (x) I + P- (x) cz(alpha).
-    At alpha = 0 these are the standard CNOT and its Hadamard-frame twin.
-    """
-    p0, p1 = basis_projectors(basis)
-    cond = cx(alpha) if basis == COMPUTATIONAL else cz(alpha)
-    return kron(p0, np.eye(2, dtype=complex)) + kron(p1, cond)
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Full description of one exchange instance.
@@ -178,7 +169,7 @@ class ScenarioSpec:
             raise ValueError("n_layers must be in 1..8")
         if not 1 <= self.qubits_per_layer <= 8:
             raise ValueError("qubits_per_layer must be in 1..8")
-        if 2 + self.n_layers * self.qubits_per_layer > 14:
+        if self.n_qubits > 14:
             raise ValueError("total qubit count 2 + n_layers*qubits_per_layer exceeds 14")
         _check_coupling(self.epsilon, self.alpha)
         if self.mode not in MODES:
@@ -219,9 +210,9 @@ class ExchangeOutcome:
 
 @dataclass(frozen=True)
 class ChainLink:
-    """One hop of the interaction chain: only what the link draws.
+    """One hop of a round: the premeasurement S->A or a link of the chain.
 
-    The link operator is projectors[0] (x) I + projectors[1] (x) rotation,
+    The hop operator is projectors[0] (x) I + projectors[1] (x) rotation,
     acting on source then target qubits: branch 0 leaves the target alone,
     branch 1 rotates it. rotation is the qubit-wise product of the 2x2
     factors, one per target qubit.
@@ -240,6 +231,18 @@ class ChainLink:
         return op
 
 
+def build_premeasurement(spec):
+    """Hop 0: the link S->A, P0 (x) I + P1 (x) cx(a) (hadamard: P+, P-, cz(a)).
+
+    a = 0 in analytic mode, whose chain rotation is its only alpha dependence,
+    and spec.alpha in haar mode; at a = 0 this is CNOT or its Hadamard twin.
+    """
+    a = 0.0 if spec.mode == MODE_ANALYTIC else spec.alpha
+    cond = cx(a) if spec.basis == COMPUTATIONAL else cz(a)
+    return ChainLink(source=(0,), target=(1,), projectors=basis_projectors(spec.basis),
+                     rotation=cond, factors=(cond,))
+
+
 def _conjugate_all(mat, n_qubits):
     h = kron_all([HADAMARD_GATE] * n_qubits)
     return h @ mat @ h
@@ -250,8 +253,8 @@ def _noisy_qubit_unitary(epsilon, rng):
     return orthonormalize_qr(epsilon * _EYE2 + (1.0 - epsilon) * haar_unitary(2, rng))
 
 
-def build_interaction_chain(spec, rng):
-    """Ordered links A->E1, E1->E2, ..., E_{n-1}->E_n for a scenario.
+def build_interaction_chain(spec):
+    """Ordered links A->E1, E1->E2, ..., E_{n-1}->E_n, drawn from spec.seed.
 
     Analytic mode uses the fixed pair (identity, q_prime) and the basis
     projectors everywhere. Haar mode draws, per link, the rotation of the
@@ -265,6 +268,7 @@ def build_interaction_chain(spec, rng):
     (x)_k H f_k H; it equals the dense conjugate of the computational one
     to rounding.
     """
+    rng = np.random.default_rng(spec.seed)
     ne = spec.qubits_per_layer
     had = spec.basis == HADAMARD
     links = []
@@ -326,13 +330,13 @@ def build_initial_state(spec):
     return StateVector(amp, spec.qubit_dims)
 
 
-def _premeasurement_alpha(spec):
-    """Angle of the premeasurement's cx/cz.
-
-    Analytic mode premeasures ideally (alpha = 0), so the chain rotation is
-    its only alpha dependence; haar mode premeasures with spec.alpha.
-    """
-    return 0.0 if spec.mode == MODE_ANALYTIC else spec.alpha
+def _evolve(state, hops):
+    """Apply each hop's operator in turn; ContractError once the norm drifts past 1e-9."""
+    for hop in hops:
+        state = state.apply(hop.operator(), hop.source + hop.target)
+        if abs(state.norm() - 1.0) > 1e-9:
+            raise ContractError("state norm drifted beyond 1e-9 after a hop")
+    return state
 
 
 def run_exchange(spec):
@@ -341,13 +345,8 @@ def run_exchange(spec):
     Returns the global pure state together with the state of the
     eavesdropper-accessible layer (spec.resolved_eve_layer()).
     """
-    rng = np.random.default_rng(spec.seed)
-    premeasurement = build_premeasurement(spec.basis, _premeasurement_alpha(spec))
-    state = build_initial_state(spec).apply(premeasurement, (0, 1))
-    for link in build_interaction_chain(spec, rng):
-        state = state.apply(link.operator(), link.source + link.target)
-        if abs(state.norm() - 1.0) > 1e-9:
-            raise ContractError("state norm drifted beyond 1e-9 after a link")
+    state = _evolve(build_initial_state(spec),
+                    (build_premeasurement(spec), *build_interaction_chain(spec)))
     return ExchangeOutcome(
         global_state=state,
         rho_eve_layer=state.reduced(spec.layer_qubits(spec.resolved_eve_layer())),
@@ -418,7 +417,7 @@ def decoherence_factor(spec, params):
     conj(U1_k,ij), read from the 2x2 entries; the whole chain is still built.
     """
     _check_rejected_setup(spec, params)
-    link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
+    link = build_interaction_chain(spec)[0]
     used = params.used_qubits(spec.qubits_per_layer)
     (r00, r01), (r10, r11) = _FRESH_QUBIT[spec.basis]
     gammas = []
@@ -444,15 +443,14 @@ def decoherence_factor_from_state(spec, params):
             "state-based evaluation traces the whole first layer; "
             "it requires all first-layer qubits to be monitored")
 
-    premeasurement = build_premeasurement(spec.basis, _premeasurement_alpha(spec))
+    premeasurement = build_premeasurement(spec)
     # the uniform superposition of the two key bits' initial states
     amp = sum(build_initial_state(replace(spec, key_bit=b)).amplitudes for b in (0, 1))
-    state = StateVector(amp / np.sqrt(2.0), spec.qubit_dims).apply(premeasurement, (0, 1))
-    link = build_interaction_chain(spec, np.random.default_rng(spec.seed))[0]
-    state = state.apply(link.operator(), link.source + link.target)
+    state = _evolve(StateVector(amp / np.sqrt(2.0), spec.qubit_dims),
+                    (premeasurement, build_interaction_chain(spec)[0]))
 
     rho_sa = state.reduced((0, 1)).matrix
     # pointer branch i: the premeasured |i>|ready apparatus>
     k0, k1 = basis_states(spec.basis)
-    b0, b1 = (premeasurement @ np.kron(k, k0) for k in (k0, k1))
+    b0, b1 = (premeasurement.operator() @ np.kron(k, k0) for k in (k0, k1))
     return float(abs(b0.conj() @ rho_sa @ b1) + abs(b1.conj() @ rho_sa @ b0))

@@ -14,6 +14,7 @@ from qdleak.model import (
     ChainLink,
     DecoherenceFactorParams,
     ScenarioSpec,
+    basis_states,
     build_initial_state,
     build_interaction_chain,
     build_premeasurement,
@@ -133,18 +134,18 @@ def test_q_prime_half_mixing_closed_form_where_qr_degenerates():
 
 def test_premeasurement_computational_is_cnot_at_zero():
     cnot = np.eye(4)[:, [0, 1, 3, 2]]
-    np.testing.assert_allclose(build_premeasurement(COMPUTATIONAL, 0.0), cnot,
+    np.testing.assert_allclose(build_premeasurement(haar_spec()).operator(), cnot,
                                atol=1e-14)
 
 
 def test_premeasurement_hadamard_leaves_plus_plus():
-    u = build_premeasurement(HADAMARD, 0.0)
+    u = build_premeasurement(haar_spec(basis=HADAMARD)).operator()
     state = np.kron(PLUS, PLUS)
     np.testing.assert_allclose(u @ state, state, atol=1e-12)
 
 
 def test_premeasurement_copies_one():
-    u = build_premeasurement(COMPUTATIONAL, 0.0)
+    u = build_premeasurement(haar_spec()).operator()
     np.testing.assert_allclose(u @ np.kron(KET1, KET0), np.kron(KET1, KET1),
                                atol=1e-14)
 
@@ -152,7 +153,7 @@ def test_premeasurement_copies_one():
 @pytest.mark.parametrize("basis", [COMPUTATIONAL, HADAMARD])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, math.pi / 4])
 def test_premeasurement_unitary(basis, alpha):
-    u = build_premeasurement(basis, alpha)
+    u = build_premeasurement(haar_spec(basis=basis, alpha=alpha)).operator()
     np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
@@ -184,7 +185,7 @@ def test_initial_state_normalized_two_layers(basis, key_bit, mode, ne):
 
 def test_analytic_chain_single_link_structure():
     spec = analytic_spec(epsilon=0.6, alpha=0.2)
-    (link,) = build_interaction_chain(spec, np.random.default_rng(0))
+    (link,) = build_interaction_chain(spec)
     expected = np.kron(np.diag([1.0, 0.0]), I2) + \
         np.kron(np.diag([0.0, 1.0]), q_prime(0.6, 0.2))
     np.testing.assert_allclose(link.operator(), expected, atol=1e-12)
@@ -193,7 +194,7 @@ def test_analytic_chain_single_link_structure():
 
 def test_hadamard_analytic_chain_conjugates_coupling():
     spec = analytic_spec(basis=HADAMARD, epsilon=0.6, alpha=0.2)
-    (link,) = build_interaction_chain(spec, np.random.default_rng(0))
+    (link,) = build_interaction_chain(spec)
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     p_plus = np.outer(PLUS, PLUS.conj())
     p_minus = np.outer(MINUS, MINUS.conj())
@@ -202,8 +203,8 @@ def test_hadamard_analytic_chain_conjugates_coupling():
 
 
 def test_haar_chain_is_identity_at_full_damping():
-    spec = haar_spec(epsilon=1.0, n_layers=2, qubits_per_layer=2)
-    links = build_interaction_chain(spec, np.random.default_rng(5))
+    spec = haar_spec(epsilon=1.0, n_layers=2, qubits_per_layer=2, seed=5)
+    links = build_interaction_chain(spec)
     for link in links:
         np.testing.assert_allclose(link.rotation, np.eye(4), atol=1e-12)
         op = link.operator()
@@ -213,7 +214,7 @@ def test_haar_chain_is_identity_at_full_damping():
 @pytest.mark.parametrize("seed", range(50))
 def test_haar_chain_links_unitary(seed):
     spec = haar_spec(n_layers=2, qubits_per_layer=2, epsilon=0.4, seed=seed)
-    for link in build_interaction_chain(spec, np.random.default_rng(seed)):
+    for link in build_interaction_chain(spec):
         op = link.operator()
         assert np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) < 1e-10
 
@@ -289,6 +290,13 @@ def test_norm_drift_after_a_link_is_a_contract_violation(monkeypatch):
         run_exchange(haar_spec())
 
 
+def test_norm_drift_in_the_reduced_state_oracle_is_a_contract_violation(monkeypatch):
+    operator = ChainLink.operator
+    monkeypatch.setattr(ChainLink, "operator", lambda link: 1.1 * operator(link))
+    with pytest.raises(ContractError, match="norm drifted"):
+        decoherence_factor_from_state(haar_spec(), DecoherenceFactorParams(COMPUTATIONAL))
+
+
 def test_bitflip_symmetry_of_perfect_analytic_chain():
     # at epsilon=0, alpha=0 the chain is an exact bit copy, so swapping the
     # key bit conjugates the leaked layer by X
@@ -323,7 +331,7 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         haar_spec(basis="diagonal")
     with pytest.raises(ValueError, match="unknown basis"):
-        build_premeasurement("diagonal", 0.0)
+        basis_states("diagonal")
     with pytest.raises(ValueError):
         haar_spec(key_bit=2)
     with pytest.raises(ValueError, match="n_layers must be in 1..8"):
