@@ -23,8 +23,7 @@ for n in range(1, 6):
     predicted = analytic_pguess(n, epsilon=0.5, alpha=0.0)
     spec = ScenarioSpec(basis="computational", key_bit=0, n_layers=n,
                         qubits_per_layer=1, epsilon=0.5, mode="analytic", seed=0)
-    out0, out1 = run_exchange_pair(spec)
-    simulated = helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer)
+    simulated = helstrom_pguess(*run_exchange_pair(spec))
     rate = analytic_key_rate(n, epsilon=0.5, alpha=0.0)
     print(f"  {n}      {predicted:.10f}  {simulated:.10f}  "
           f"{abs(predicted - simulated):.2e}      {rate:.6f}")

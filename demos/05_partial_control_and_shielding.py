@@ -28,10 +28,8 @@ def antenna_curve(ne):
         spec = ScenarioSpec(basis="computational", key_bit=0, n_layers=1,
                             qubits_per_layer=ne, epsilon=0.0, mode="haar",
                             seed=seed)
-        out0, out1 = run_exchange_pair(spec)
         rng = np.random.default_rng(control_seed(seed))
-        per_k = nested_control_pguess(out0.rho_eve_layer, out1.rho_eve_layer,
-                                      range(ne + 1), rng)
+        per_k = nested_control_pguess(*run_exchange_pair(spec), range(ne + 1), rng)
         if sums is None:
             sums = {k: 0.0 for k in per_k}
         for k, value in per_k.items():
@@ -55,8 +53,7 @@ def shielding(eps, layers, eve_layer):
         spec = ScenarioSpec(basis="computational", key_bit=0, n_layers=layers,
                             qubits_per_layer=2, epsilon=eps, mode="haar",
                             seed=seed, eve_layer=eve_layer)
-        out0, out1 = run_exchange_pair(spec)
-        values.append(helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer))
+        values.append(helstrom_pguess(*run_exchange_pair(spec)))
     return float(np.mean(values))
 
 

@@ -6,7 +6,8 @@ where <command> is an experiments.EXPERIMENTS name with "-" for "_". The
 commands share one parser; flags, spelt in full, may also precede the command.
 A flat key = value config file (--config) can give any flag; its entries are
 parsed before the command line's own, so a flag wins. Exit codes: 0 success,
-2 configuration/argument error, 3 numerical contract violation.
+2 configuration/argument error, 3 numerical contract violation (in a --jobs
+worker too); a worker that dies exits 1 with a BrokenProcessPool traceback.
 """
 
 import argparse

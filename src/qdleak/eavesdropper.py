@@ -11,12 +11,12 @@ nested_control_pguess) or as access to a subset of the layer's qubits
 with V = I, so helstrom_pguess is subspace_pguess on the whole layer.
 
 A reduced layer state of the simulation has rank at most the dimension of
-the rest of the system, often far below the layer's. Every such state
-carries its Schmidt factor (DensityMatrix.factor), and _signed_factor is
-the one place that picks the route: when the two factors have fewer columns
-in total than the layer dimension, full and antenna access are
-discriminated in the span of the two states, on matrices of that column
-count; raw arrays, partial traces and wider factors take the dense route.
+the rest of the system, often far below the layer's. A last-layer state
+carries its Schmidt factor (DensityMatrix.factor), a view of the global
+state, and _signed_factor is the one place that picks the route: when the
+two factors have fewer columns in total than the layer dimension, full and
+antenna access are discriminated in the span of the two states, on matrices
+of that column count; everything else takes the dense route.
 
 The closed-form guessing probability and key rate for chains of single-qubit
 layers live here too, next to the variant diagnostics that pin down the
@@ -64,7 +64,7 @@ def subspace_pguess(rho0, rho1, isometry):
     subspace and answers at random for outcomes outside it, giving
     1/2 + 1/2 ||V^† Delta V||_1.
 
-    When both states carry factors of r0 + r1 < dim columns (reduced pure
+    When both states carry factors of r0 + r1 < dim columns (last-layer
     states do), the norm is taken in their span: V^† Delta V = C J C^† with
     C = V^† B, and C = Q R gives the trace norm of the r x r matrix R J R^†
     (C itself when it has no more rows than columns). Otherwise Delta is

@@ -161,16 +161,13 @@ class SweepConfig:
 
 
 def _pguess(config, spec):
-    out0, out1 = run_exchange_pair(spec)
-    value = helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer)
-    return {(spec.qubits_per_layer, "p_guess"): value}
+    return {(spec.qubits_per_layer, "p_guess"): helstrom_pguess(*run_exchange_pair(spec))}
 
 
 def _partial_control(config, spec):
     ranks = [spec.qubits_per_layer - j for j in CONTROL_PERCENT_STEPS]
     ks = [k for k in ranks if k >= 1]
-    out0, out1 = run_exchange_pair(spec)
-    rho0, rho1 = out0.rho_eve_layer, out1.rho_eve_layer
+    rho0, rho1 = run_exchange_pair(spec)
     if config.control_mode == CONTROL_RANK:
         rng = np.random.default_rng(control_seed(spec.seed))
         per_k = nested_control_pguess(rho0, rho1, ks, rng)
@@ -409,16 +406,17 @@ def run_experiment(config):
 
     The config was checked, every grid point included, when it was built.
     Numpy's bundled OpenBLAS runs one thread per process meanwhile, unless
-    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set. A worker that dies
+    raises BrokenProcessPool rather than leaving the sweep waiting.
     """
     points = _points(config)
     bound = partial(_grid_point_job, config)
     workers = pool_size(config.jobs, len(points), _cpu_count())
     with _one_blas_thread():
         if workers > 1:
-            import multiprocessing
-            with multiprocessing.Pool(workers) as pool:
-                chunks = pool.map(bound, points)
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers) as pool:
+                chunks = list(pool.map(bound, points))
         else:
             chunks = [bound(p) for p in points]
     rows = [row for chunk in chunks for row in chunk]

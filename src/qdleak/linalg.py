@@ -19,10 +19,11 @@ subset.
 Randomized routines take an explicit numpy Generator and are pure functions
 of (arguments, generator state): the same seed reproduces identical bits.
 
-A pure state's reduced DensityMatrix (reduced_density) always carries its
-Schmidt factor F (matrix = F F^†), the amplitudes reshaped to kept x traced
-subsystems. Whether F's column count is low enough to be worth using is
-decided by its one reader, the eavesdropper's discrimination.
+A pure state's reduced DensityMatrix (reduced_density) carries its Schmidt
+factor F (matrix = F F^†), the amplitudes as kept x traced subsystems, where
+F is a view of the state; a middle run's F would copy the whole state.
+Whether F's column count is low enough to be worth using is decided by its
+one reader, the eavesdropper's discrimination.
 """
 
 import math
@@ -196,14 +197,16 @@ def reduced_density(amplitudes, dims, keep):
 
     Equivalent to partial_trace(outer(psi, psi*), dims, keep) but costs
     O(D * d) instead of O(D**2). `keep` names a run of adjacent subsystems,
-    in any order (ValueError otherwise). The factor F is the amplitudes as a
-    kept x traced matrix, and the matrix is F F^†.
+    in any order (ValueError otherwise). The matrix is F F^† for F the
+    amplitudes as a kept x traced matrix, the factor where the run touches
+    an end of the state (F is a view), else None (F is a copy).
     """
     keep = tuple(sorted(set(_integers("keep", keep))))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
-    f = _run_matrix(amplitudes, dims, keep)[0]
-    return DensityMatrix(f @ f.conj().T, tuple(dims[i] for i in keep), factor=f)
+    f, left, right = _run_matrix(amplitudes, dims, keep)
+    return DensityMatrix(f @ f.conj().T, tuple(dims[i] for i in keep),
+                         factor=f if left == 1 or right == 1 else None)
 
 
 def apply_unitary(amplitudes, dims, op, targets):
@@ -424,9 +427,9 @@ class DensityMatrix:
 
     `factor`, when known, is a (dim, r) matrix with matrix = factor @
     factor^†; r bounds the rank. reduced_density stores the Schmidt factor
-    here, whatever r is; the discrimination works in the span of the states
-    instead of the whole space when the two factors have fewer columns in
-    total than the dimension.
+    here where it is a view of the state, whatever r is; the discrimination
+    works in the span of the states instead of the whole space when the two
+    factors have fewer columns in total than the dimension.
     """
 
     matrix: np.ndarray

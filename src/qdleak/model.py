@@ -23,6 +23,10 @@ as their product; the decoherence factor reads each qubit's overlap from the
 build_initial_state, build_premeasurement and build_interaction_chain take
 only the spec; the chain is drawn from a generator seeded with spec.seed in
 a fixed order, so a scenario is a pure function of its spec.
+
+run_exchange returns a round's global pure state, the tests' oracle;
+run_exchange_pair returns the eavesdropper's two layer states, which keep no
+copy of it (a factor is attached only where it is a view).
 """
 
 import math
@@ -32,7 +36,6 @@ import numpy as np
 
 from .errors import ContractError, DegeneracyError
 from .linalg import (
-    DensityMatrix,
     StateVector,
     _integer,
     haar_unitary,
@@ -201,14 +204,6 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class ExchangeOutcome:
-    """Final pure state plus the eavesdropper's reduced layer state."""
-
-    global_state: StateVector
-    rho_eve_layer: DensityMatrix
-
-
-@dataclass(frozen=True)
 class ChainLink:
     """One hop of a round: the premeasurement S->A or a link of the chain.
 
@@ -340,29 +335,21 @@ def _evolve(state, hops):
 
 
 def run_exchange(spec):
-    """Premeasure, run the interaction chain, and reduce.
-
-    Returns the global pure state together with the state of the
-    eavesdropper-accessible layer (spec.resolved_eve_layer()).
-    """
-    state = _evolve(build_initial_state(spec),
-                    (build_premeasurement(spec), *build_interaction_chain(spec)))
-    return ExchangeOutcome(
-        global_state=state,
-        rho_eve_layer=state.reduced(spec.layer_qubits(spec.resolved_eve_layer())),
-    )
+    """The global pure state after the premeasurement and the interaction chain."""
+    return _evolve(build_initial_state(spec),
+                   (build_premeasurement(spec), *build_interaction_chain(spec)))
 
 
 def run_exchange_pair(spec):
-    """Run the same scenario for key bit 0 and key bit 1.
+    """(rho0, rho1): the eavesdropper's layer state for key bit 0 and key bit 1.
 
     Both runs share the seed, hence the same premeasurement and the same
     drawn chain — the physical device is identical, only the encoded bit
-    differs. This is the state pair an eavesdropper must distinguish.
+    differs. This is the state pair an eavesdropper must distinguish, read
+    at spec.resolved_eve_layer().
     """
-    out0 = run_exchange(replace(spec, key_bit=0))
-    out1 = run_exchange(replace(spec, key_bit=1))
-    return out0, out1
+    keep = spec.layer_qubits(spec.resolved_eve_layer())
+    return tuple(run_exchange(replace(spec, key_bit=b)).reduced(keep) for b in (0, 1))
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,7 @@ def test_criterion_1_closed_form_matches_simulation():
                     basis="computational", key_bit=0, n_layers=n,
                     qubits_per_layer=1, epsilon=eps, alpha=alpha,
                     mode="analytic", seed=0)
-                out0, out1 = run_exchange_pair(spec)
-                simulated = helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer)
+                simulated = helstrom_pguess(*run_exchange_pair(spec))
                 worst = max(worst, abs(simulated - predicted))
                 points += 1
     elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ import contextlib
 import ctypes
 import io
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -229,6 +230,65 @@ def test_numerical_contract_violation_returns_3(monkeypatch, capsys):
     code = run_cli(["layers-table", "--reps", "1", "--jobs", "1"])
     assert code == 3
     assert "contract violation" in capsys.readouterr().err
+
+
+def test_contract_violation_in_a_worker_returns_3(tmp_path, monkeypatch, capsys):
+    # the workers fork, so they inherit the patched measurement
+    def violated(spec):
+        raise ContractError("boom in a worker")
+
+    monkeypatch.setattr(experiments, "run_exchange_pair", violated)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    out = tmp_path / "x.csv"
+    code = run_cli(["layers-table", "--reps", "1", "--eps-grid", "0.5,0.7", "--nl-grid", "1",
+                    "--jobs", "2", "--out", str(out)])
+    assert code == 3
+    assert "boom in a worker" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a grid point that kills its worker process, as the kernel's OOM killer would
+_DYING_WORKER = """
+import os, sys
+from qdleak import cli, experiments
+parent = os.getpid()
+
+def die(spec):
+    if os.getpid() == parent:
+        sys.exit("a grid point ran in the parent process")
+    os._exit(1)
+
+experiments.run_exchange_pair = die
+experiments._cpu_count = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_dying_worker_ends_the_sweep_with_exit_1(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    args = ["layers-table", "--reps", "1", "--eps-grid", "0.5,0.7", "--nl-grid", "1",
+            "--jobs", "2", "--out", str(tmp_path / "x.csv")]
+    # its own process group, so that no worker outlives a hung sweep
+    proc = subprocess.Popen([sys.executable, "-c", _DYING_WORKER, *args], env=env,
+                            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the sweep still waited for its dead worker after 60 s")
+    assert proc.returncode == 1, err
+    assert "BrokenProcessPool" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_keys_are_the_parsers_value_flags():
+    # _VALUE_FLAGS and the config file read _CONFIG_KEYS; the parser is the source
+    flags = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
+    assert flags - {"-h", "--help", "--config"} == \
+        {"--" + key.replace("_", "-") for key in cli._CONFIG_KEYS}
 
 
 def test_config_file_and_flag_precedence(tmp_path):

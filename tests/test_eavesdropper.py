@@ -143,8 +143,7 @@ def test_subset_rejects_bad_indices_and_layer_dimension():
 
 
 def layer_state_pair():
-    out0, out1 = run_exchange_pair(ScenarioSpec("computational", 0, 1, 3, 0.0, seed=7))
-    return out0.rho_eve_layer, out1.rho_eve_layer
+    return run_exchange_pair(ScenarioSpec("computational", 0, 1, 3, 0.0, seed=7))
 
 
 def test_subset_indices_must_be_integers():
@@ -293,8 +292,7 @@ def test_analytic_matches_simulation(n, eps, alpha):
     spec = ScenarioSpec(basis="computational", key_bit=0, n_layers=n,
                         qubits_per_layer=1, epsilon=eps, alpha=alpha,
                         mode="analytic", seed=0)
-    out0, out1 = run_exchange_pair(spec)
-    simulated = helstrom_pguess(out0.rho_eve_layer, out1.rho_eve_layer)
+    simulated = helstrom_pguess(*run_exchange_pair(spec))
     assert abs(simulated - predicted) < 1e-9
 
 

@@ -187,7 +187,7 @@ def test_pool_size_is_bounded_by_points_and_cpus():
                                     dict(sched_getaffinity=lambda pid: {0})],
                          ids=["process_cpu_count", "sched_getaffinity"])
 def test_default_jobs_and_pool_count_only_the_cpus_the_process_may_use(pinned, monkeypatch):
-    import multiprocessing
+    import concurrent.futures
 
     from qdleak.cli import build_parser
 
@@ -198,7 +198,7 @@ def test_default_jobs_and_pool_count_only_the_cpus_the_process_may_use(pinned, m
     monkeypatch.delattr(os, "process_cpu_count", raising=False)
     for name, value in pinned.items():
         monkeypatch.setattr(os, name, value, raising=False)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert build_parser().parse_args(["layers-table"]).jobs == 1
     config = SweepConfig(experiment="layers_table", eps_grid=(0.5, 0.7), nl_grid=(1,),
                          repetitions=1, jobs=2)

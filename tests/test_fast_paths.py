@@ -6,8 +6,8 @@ from scalars, must equal the numpy expressions they replace bit for bit;
 the Hadamard-frame conditional, a product of conjugated 2x2 factors, must
 match the dense conjugate H U H; `decoherence_factor`'s scalar overlap must
 match the trace of matrix products; `StateVector.reduced` must form the
-Schmidt factor once, and the guesses made with the factor always attached
-must equal those of the thresholded factor it replaced; the closed-form
+Schmidt factor once, and the guesses made with the factor attached where it
+is a view must equal those of the thresholded factor it replaced; the closed-form
 2x2 `orthonormalize_qr` must match LAPACK's QR with the positive-diagonal
 phase fix and raise exactly where the SVD finds the input rank-deficient;
 the larger `orthonormalize_qr`, which tests rank on R's diagonal, must equal
@@ -59,6 +59,7 @@ from qdleak.model import (
     build_interaction_chain,
     cx,
     decoherence_factor,
+    run_exchange,
     run_exchange_pair,
 )
 
@@ -490,8 +491,13 @@ def test_schmidt_factor_of_a_run_is_bit_identical_to_moving_axes(run, seed):
     dims = [2] * n
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    got = reduced_density(amp, dims, keep).factor
+    got = linalg._run_matrix(amp, dims, tuple(keep))[0]
     assert np.array_equal(bits(got), bits(reference_schmidt_factor(amp, dims, keep)))
+    # reduced_density attaches that matrix where it is a view of the amplitudes
+    if keep[0] == 0 or keep[-1] == n - 1:
+        factor = reduced_density(amp, dims, keep).factor
+        assert np.shares_memory(factor, amp)
+        assert np.array_equal(bits(factor), bits(got))
 
 
 # ---------------------------------------------------- build_initial_state
@@ -526,8 +532,7 @@ def layer_state_pairs(draw):
         basis=draw(st.sampled_from(BASES)), key_bit=0, n_layers=1,
         qubits_per_layer=draw(st.integers(1, 7)), epsilon=draw(st.floats(0.0, 1.0)),
         alpha=draw(st.sampled_from([0.0, 0.3])), seed=draw(st.integers(0, 2 ** 32 - 1)))
-    out0, out1 = run_exchange_pair(spec)
-    return out0.rho_eve_layer, out1.rho_eve_layer
+    return run_exchange_pair(spec)
 
 
 def check_route(rho0, rho1):
@@ -541,7 +546,8 @@ def check_route(rho0, rho1):
 @given(layer_state_pairs())
 def test_factor_reproduces_the_reduced_matrix_bit_for_bit(pair):
     for rho in pair:
-        # always attached, one column per basis state of the 4-dimensional rest
+        # the last layer's factor is a view, one column per basis state of the
+        # 4-dimensional rest
         assert rho.factor.shape == (rho.dim, 4)
         assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(rho.matrix))
 
@@ -596,9 +602,8 @@ def antenna_cases(draw):
         basis=draw(st.sampled_from(BASES)), key_bit=0, n_layers=nl, qubits_per_layer=ne,
         epsilon=draw(st.floats(0.0, 1.0)), alpha=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(0, 2 ** 32 - 1)), eve_layer=draw(st.integers(1, nl)))
-    out0, out1 = run_exchange_pair(spec)
     ks = draw(st.sets(st.integers(0, ne)))
-    return out0.rho_eve_layer, out1.rho_eve_layer, ks
+    return (*run_exchange_pair(spec), ks)
 
 
 # a 128-dimensional dense antenna costs milliseconds per rank
@@ -643,11 +648,13 @@ def test_reduced_forms_the_schmidt_factor_once(keep, monkeypatch):
     monkeypatch.undo()
     want = reduced_density(state.amplitudes, state.dims, keep).matrix
     assert np.array_equal(bits(rho.matrix), bits(want))
-    assert rho.factor is not None
-    assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(want))
-    # a run at either end of the state is a view of it; a middle run is a copy
+    # a run at either end of the state is a view of it, and is attached; a
+    # middle run would be a copy of the whole state, and is not
     touches_an_end = keep[0] == 0 or keep[-1] == len(state.dims) - 1
-    assert np.shares_memory(rho.factor, state.amplitudes) == touches_an_end
+    assert (rho.factor is not None) == touches_an_end
+    if touches_an_end:
+        assert np.shares_memory(rho.factor, state.amplitudes)
+        assert np.array_equal(bits(rho.factor @ rho.factor.conj().T), bits(want))
 
 
 def test_factor_with_the_wrong_row_count_is_rejected():
@@ -677,14 +684,14 @@ def threshold_then_reduce(state, keep):
 @pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("nl", (1, 2, 3))
 def test_always_attached_factor_keeps_every_guess_bit_for_bit(nl, basis):
-    # the route that _signed_factor picks for the always-attached factor is
-    # the one the thresholded factor took, so every value is unchanged
+    # the route that _signed_factor picks for the factor attached where it is
+    # a view is the one the thresholded factor took, so every value is unchanged
     for ne in range(1, 8):
         if 2 + nl * ne > 14:
             continue
         spec = ScenarioSpec(basis=basis, key_bit=0, n_layers=nl, qubits_per_layer=ne,
                             epsilon=0.4, alpha=0.3, seed=1000 * nl + ne)
-        states = [out.global_state for out in run_exchange_pair(spec)]
+        states = [run_exchange(replace(spec, key_bit=b)) for b in (0, 1)]
         for layer in range(1, nl + 1):
             keep = spec.layer_qubits(layer)
             new = [reduced_density(s.amplitudes, s.dims, keep) for s in states]
@@ -712,8 +719,8 @@ def test_bases_agree_draw_for_draw(ne, nl, eps, alpha, seed):
         h = np.kron(h, HADAMARD_GATE)
     # the Hadamard scenario's layer states are the H-conjugates of the computational ones
     for c, d in zip(comp, had):
-        want = h @ c.rho_eve_layer.matrix @ h
-        assert np.max(np.abs(d.rho_eve_layer.matrix - want)) <= 1e-12
-    p_comp = helstrom_pguess(comp[0].rho_eve_layer, comp[1].rho_eve_layer)
-    p_had = helstrom_pguess(had[0].rho_eve_layer, had[1].rho_eve_layer)
+        want = h @ c.matrix @ h
+        assert np.max(np.abs(d.matrix - want)) <= 1e-12
+    p_comp = helstrom_pguess(*comp)
+    p_had = helstrom_pguess(*had)
     assert abs(p_comp - p_had) <= 1e-12

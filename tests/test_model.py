@@ -1,11 +1,14 @@
 """Exchange-model tests: couplings, chains, reduced states, decoherence."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qdleak import model
 from qdleak.errors import ContractError, DegeneracyError
 from qdleak.linalg import orthonormalize_qr
 from qdleak.model import (
@@ -223,28 +226,26 @@ def test_haar_chain_links_unitary(seed):
 
 def test_full_damping_leaks_nothing_both_modes():
     for spec in (analytic_spec(epsilon=1.0), haar_spec(epsilon=1.0, seed=9)):
-        out0, out1 = run_exchange_pair(spec)
-        np.testing.assert_allclose(out0.rho_eve_layer.matrix,
-                                   out1.rho_eve_layer.matrix, atol=1e-10)
+        rho0, rho1 = run_exchange_pair(spec)
+        np.testing.assert_allclose(rho0.matrix, rho1.matrix, atol=1e-10)
 
 
 def test_perfect_chain_copies_the_bit():
     spec = analytic_spec(epsilon=0.0, alpha=0.0)
-    out0, out1 = run_exchange_pair(spec)
-    np.testing.assert_allclose(out0.rho_eve_layer.matrix,
-                               np.diag([1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(out1.rho_eve_layer.matrix,
-                               np.diag([0.0, 1.0]), atol=1e-12)
+    rho0, rho1 = run_exchange_pair(spec)
+    np.testing.assert_allclose(rho0.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(rho1.matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_exchange_deterministic_per_seed():
     spec = haar_spec(seed=77, n_layers=2)
+    keep = spec.layer_qubits(spec.resolved_eve_layer())
     a = run_exchange(spec)
     b = run_exchange(spec)
-    assert np.array_equal(a.global_state.amplitudes, b.global_state.amplitudes)
-    assert np.array_equal(a.rho_eve_layer.matrix, b.rho_eve_layer.matrix)
+    assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(a.reduced(keep).matrix, b.reduced(keep).matrix)
     c = run_exchange(replace(spec, seed=78))
-    assert not np.allclose(a.rho_eve_layer.matrix, c.rho_eve_layer.matrix)
+    assert not np.allclose(a.reduced(keep).matrix, c.reduced(keep).matrix)
 
 
 @pytest.mark.parametrize("basis", [COMPUTATIONAL, HADAMARD])
@@ -252,35 +253,61 @@ def test_exchange_deterministic_per_seed():
 def test_accepted_round_system_never_decoheres(basis, key_bit):
     spec = ScenarioSpec(basis=basis, key_bit=key_bit, n_layers=2,
                         qubits_per_layer=2, epsilon=0.3, mode="haar", seed=21)
-    out = run_exchange(spec)
+    state = run_exchange(spec)
     k = np.array([1, 0]) if key_bit == 0 else np.array([0, 1])
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     pointer = k if basis == COMPUTATIONAL else h @ k
-    rho_s = out.global_state.reduced((0,)).matrix
+    rho_s = state.reduced((0,)).matrix
     np.testing.assert_allclose(rho_s, np.outer(pointer, pointer.conj()),
                                atol=1e-10)
 
 
 def test_exchange_outcome_reduced_states_are_physical():
     spec = haar_spec(n_layers=3, qubits_per_layer=2, epsilon=0.2, seed=4)
-    out = run_exchange(spec)
-    out.global_state.reduced((1,)).validate()
-    out.rho_eve_layer.validate()
-    assert out.rho_eve_layer.dim == 4
+    state = run_exchange(spec)
+    rho = run_exchange_pair(spec)[0]  # spec holds key bit 0
+    state.reduced((1,)).validate()
+    rho.validate()
+    assert rho.dim == 4
     # the default eavesdropper reads the last layer
-    want = out.global_state.reduced(spec.layer_qubits(3)).matrix
-    assert np.array_equal(out.rho_eve_layer.matrix, want)
-    assert abs(out.global_state.norm() - 1.0) < 1e-9
+    want = state.reduced(spec.layer_qubits(3)).matrix
+    assert np.array_equal(rho.matrix, want)
+    assert abs(state.norm() - 1.0) < 1e-9
 
 
 def test_eve_layer_override():
     spec = haar_spec(n_layers=3, qubits_per_layer=2, epsilon=0.2, seed=4,
                      eve_layer=1)
-    out = run_exchange(spec)
-    want = out.global_state.reduced(spec.layer_qubits(1)).matrix
-    assert np.array_equal(out.rho_eve_layer.matrix, want)
+    want = run_exchange(spec).reduced(spec.layer_qubits(1)).matrix
+    assert np.array_equal(run_exchange_pair(spec)[0].matrix, want)  # spec holds key bit 0
     with pytest.raises(ValueError):
         haar_spec(n_layers=2, eve_layer=3)
+
+
+@pytest.mark.parametrize("eve_layer", [1, 2])
+def test_layer_pair_keeps_a_run_state_only_as_a_factor_view(eve_layer, monkeypatch):
+    # at nl = 2 layer 1 is a middle run of the state and layer 2 ends it
+    buffers = []
+    run = model.run_exchange
+
+    def recorded(spec):
+        state = run(spec)
+        a = state.amplitudes
+        buffers.append(weakref.ref(a if a.base is None else a.base))
+        return state
+
+    monkeypatch.setattr(model, "run_exchange", recorded)
+    pair = run_exchange_pair(haar_spec(n_layers=2, qubits_per_layer=3, epsilon=0.3,
+                                       seed=5, eve_layer=eve_layer))
+    gc.collect()
+    alive = [b() for b in buffers]
+    assert len(alive) == 2
+    if eve_layer == 1:
+        assert alive == [None, None]
+        assert [rho.factor for rho in pair] == [None, None]
+    else:
+        for rho, buffer in zip(pair, alive):
+            assert np.shares_memory(rho.factor, buffer)
 
 
 def test_norm_drift_after_a_link_is_a_contract_violation(monkeypatch):
@@ -302,10 +329,8 @@ def test_bitflip_symmetry_of_perfect_analytic_chain():
     # key bit conjugates the leaked layer by X
     for n_layers in (1, 2, 3):
         spec = analytic_spec(epsilon=0.0, alpha=0.0, n_layers=n_layers)
-        out0, out1 = run_exchange_pair(spec)
-        np.testing.assert_allclose(
-            X @ out0.rho_eve_layer.matrix @ X, out1.rho_eve_layer.matrix,
-            atol=1e-10)
+        rho0, rho1 = run_exchange_pair(spec)
+        np.testing.assert_allclose(X @ rho0.matrix @ X, rho1.matrix, atol=1e-10)
 
 
 def test_basis_equivalence_per_seed():
@@ -314,8 +339,9 @@ def test_basis_equivalence_per_seed():
     for seed in range(5):
         sc = haar_spec(seed=seed, n_layers=2, epsilon=0.4)
         sh = replace(sc, basis=HADAMARD)
-        rc = run_exchange(sc).rho_eve_layer.matrix
-        rh = run_exchange(sh).rho_eve_layer.matrix
+        keep = sc.layer_qubits(sc.resolved_eve_layer())
+        rc = run_exchange(sc).reduced(keep).matrix
+        rh = run_exchange(sh).reduced(keep).matrix
         h2 = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2),
                      np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         np.testing.assert_allclose(h2 @ rc @ h2, rh, atol=1e-10)

@@ -71,6 +71,17 @@ def test_command_table_holds_the_hadamard_variants(table, name):
         "hadamard", name.replace("-", "_"), "5", "2", "x.csv"]
 
 
+def test_a_command_past_the_timeout_is_killed_and_fails(table, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr(sweepdiff, "_RUNNER", "import time; time.sleep(60)")
+    monkeypatch.setattr(sweepdiff, "TIMEOUT", 0.5)
+    written = sweepdiff.run_tree(SRC, table, LABELS[:1], 1, tmp_path / "out")
+    assert written == {LABELS[0]: None}
+    assert "timed out after 0.5 s" in capsys.readouterr().err
+    row = sweepdiff.compare(LABELS[0], {1: written}, {1: written})
+    assert sweepdiff.flagged(row)
+
+
 def test_main_refuses_a_tree_without_qdleak(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         sweepdiff.main([str(SRC), str(tmp_path)])

@@ -21,6 +21,9 @@ are equal, the largest |Δmean| and |Δstd| between the trees over both
 --jobs, and whether each tree's --jobs 1 and --jobs 2 files agree byte for
 byte.
 
+A command that runs longer than TIMEOUT (600 s) is killed, with every
+process it started, and counts as failed.
+
 Exit status: 1 when a command fails, row keys differ, a tree's two --jobs
 outputs differ or a Δ exceeds TOL (1e-12); 0 otherwise; 2 for a usage error.
 """
@@ -28,6 +31,8 @@ outputs differ or a Δ exceeds TOL (1e-12); 0 otherwise; 2 for a usage error.
 import argparse
 import csv
 import math
+import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -48,6 +53,7 @@ PERFBENCH_SEED = 101  # perfbench/run.py's default --seed
 JOBS = (1, 2)
 VALUE_COLUMNS = ("mean", "std")
 TOL = 1e-12  # the largest |Δmean| and |Δstd| accepted
+TIMEOUT = 600  # seconds one command may run
 
 # argv: SRC then the qdleak arguments, or SRC hadamard EXPERIMENT REPS JOBS OUT
 # for a default sweep in the Hadamard basis; refuses a qdleak imported from elsewhere
@@ -106,11 +112,19 @@ def run_tree(src, table, labels, jobs, out_dir):
     written = {}
     for label in labels:
         out = out_dir / f"{label}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c", _RUNNER, str(src), *table[label](out, jobs)],
-            cwd=out_dir, capture_output=True, text=True)
+        # its own process group, so that a timeout also ends its workers
+        with subprocess.Popen(
+                [sys.executable, "-c", _RUNNER, str(src), *table[label](out, jobs)],
+                cwd=out_dir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                start_new_session=True) as proc:
+            try:
+                err = proc.communicate(timeout=TIMEOUT)[1]
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                err = f"timed out after {TIMEOUT} s"
         if proc.returncode != 0 or not out.is_file():
-            tail = proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]
+            tail = err.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]
             print(f"{label} (--jobs {jobs}, {src}) failed: {tail[0]}", file=sys.stderr)
             out = None
         written[label] = out
