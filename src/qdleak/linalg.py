@@ -156,14 +156,13 @@ def partial_trace(rho, dims, keep):
     (d, D/d, d, D/d); the trace over axes 1 and 3 sums out the rest.
     """
     rho = _as_complex(rho)
-    dims = list(dims)
+    dims, total = _dims(dims)
     n = len(dims)
     keep = sorted(set(_integers("keep", keep)))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"subsystem index out of range for {n} subsystems")
-    total = int(np.prod(dims))
     if rho.shape != (total, total):
         raise ValueError(f"rho shape {rho.shape} does not match dims {dims}")
 
@@ -183,6 +182,7 @@ def _run_matrix(amplitudes, dims, run):
     the run touches neither end of the state.
     """
     amp = _as_complex(amplitudes).reshape(-1)
+    dims, _ = _dims(dims)
     r0 = run[0] if run else 0
     r1 = r0 + len(run)
     if r0 < 0 or r1 > len(dims) or run != tuple(range(r0, r1)):
@@ -380,7 +380,7 @@ def random_complementary_projectors(dim, rank0, rng):
     -------
     (p0, p1) : projectors with p0 + p1 = 1, p0 @ p1 = 0, trace(p0) = rank0.
     """
-    dim, rank0 = _integer("dim", dim), _integer("rank0", rank0)
+    dim, rank0 = check_dim(_integer("dim", dim)), _integer("rank0", rank0)
     if not 1 <= rank0 < dim:
         raise ValueError(f"rank0 must satisfy 1 <= rank0 < dim, got {rank0}/{dim}")
     m = rng.standard_normal((dim, dim))

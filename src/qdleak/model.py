@@ -16,9 +16,11 @@ Two interaction modes are supported:
   noisy unitaries QR(epsilon*I + (1-epsilon)*V) with V Haar-random, and whose
   interior projector pairs come from random real symmetric matrices.
 
-A Hadamard-basis chain conjugates each 2x2 factor and takes the conditional
-as their product; the decoherence factor reads each qubit's overlap from the
-2x2 entries.
+A basis is a frame, a 2x2 unitary whose columns are its pointer states (the
+identity, or the Hadamard gate); it and its projector pair are built once and
+shared read-only. A Hadamard-basis chain conjugates each 2x2 factor and takes
+the conditional as their product; the decoherence factor reads each qubit's
+overlap from the 2x2 entries.
 
 build_initial_state, build_premeasurement and build_interaction_chain take
 only the spec; the chain is drawn from a generator seeded with spec.seed in
@@ -53,9 +55,19 @@ MODE_ANALYTIC = "analytic"
 MODE_HAAR = "haar"
 MODES = (MODE_ANALYTIC, MODE_HAAR)
 
-HADAMARD_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+# each basis's frame (columns |e0>, |e1>) and projector pair, built once and
+# shared read-only; _EYE2 is also the identity term of every noisy coupling
+HADAMARD_GATE = _frozen(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2))
+_EYE2 = _frozen(np.eye(2, dtype=complex))
+_FRAMES = {COMPUTATIONAL: _EYE2, HADAMARD: HADAMARD_GATE}
+_PROJECTORS = {basis: tuple(_frozen(np.outer(k, k.conj())) for k in frame.T)
+               for basis, frame in _FRAMES.items()}
 
 
 def cx(alpha):
@@ -106,33 +118,17 @@ def q_prime(epsilon, alpha):
 
 
 def basis_states(basis):
-    """The two pointer states of a basis, as column vectors."""
-    if basis == COMPUTATIONAL:
-        return _KET0.copy(), _KET1.copy()
-    if basis == HADAMARD:
-        return HADAMARD_GATE @ _KET0, HADAMARD_GATE @ _KET1
-    raise ValueError(f"unknown basis {basis!r}")
+    """The two pointer states of a basis, its frame's columns, as fresh writable copies."""
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    return tuple(k.copy() for k in _FRAMES[basis].T)
 
 
 def basis_projectors(basis):
-    """Rank-1 projector pair onto the basis pointer states."""
-    k0, k1 = basis_states(basis)
-    return np.outer(k0, k0.conj()), np.outer(k1, k1.conj())
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
-
-# the first link's source projectors and the identity term of every noisy
-# coupling, fixed for every chain and shared read-only
-_COMPUTATIONAL_PROJECTORS = tuple(_frozen(p) for p in basis_projectors(COMPUTATIONAL))
-_EYE2 = _frozen(np.eye(2, dtype=complex))
-
-# entries of the state |e0><e0| of every fresh environment qubit, e0 the
-# basis's first pointer state
-_FRESH_QUBIT = {basis: basis_projectors(basis)[0].tolist() for basis in BASES}
+    """Rank-1 projector pair onto the basis pointer states, shared and read-only."""
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    return _PROJECTORS[basis]
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ def build_premeasurement(spec):
     """
     a = 0.0 if spec.mode == MODE_ANALYTIC else spec.alpha
     cond = cx(a) if spec.basis == COMPUTATIONAL else cz(a)
-    return ChainLink(source=(0,), target=(1,), projectors=basis_projectors(spec.basis),
+    return ChainLink(source=(0,), target=(1,), projectors=_PROJECTORS[spec.basis],
                      rotation=cond, factors=(cond,))
 
 
@@ -272,7 +268,7 @@ def build_interaction_chain(spec):
         target = spec.layer_qubits(l + 1)
 
         if l == 0 or spec.mode == MODE_ANALYTIC:
-            p0, p1 = _COMPUTATIONAL_PROJECTORS
+            p0, p1 = _PROJECTORS[COMPUTATIONAL]
         else:
             p0, p1 = random_complementary_projectors(2 ** ne, 2 ** (ne - 1), rng)
 
@@ -303,19 +299,19 @@ def build_initial_state(spec):
     computational: |b> (x) |0> (x) |0...0>; hadamard: the Hadamard frame of
     the same state, i.e. |+/-> (x) |+> (x) |+...+>.
 
-    The amplitude of |i>|0...0> is sys[i] * k0[0] * ... * k0[0], multiplied
-    left to right as the Kronecker chain sys (x) k0 (x) ... would. In the
-    computational basis every other amplitude is zero; in the hadamard basis
-    k0 = |+> has equal entries, so every amplitude whose first qubit is i
-    equals that of |i>|0...0>.
+    The system sys is the frame's column key_bit, every other qubit its
+    column e0. The amplitude of |i>|0...0> is sys[i] * e0[0] * ... * e0[0],
+    multiplied left to right as the Kronecker chain sys (x) e0 (x) ... would.
+    In the computational basis every other amplitude is zero; in the hadamard
+    basis e0 = |+> has equal entries, so every amplitude whose first qubit is
+    i equals that of |i>|0...0>.
     """
-    k0, k1 = basis_states(spec.basis)
-    sys = k1 if spec.key_bit else k0
+    frame = _FRAMES[spec.basis]
     n = spec.n_qubits
     heads = []
-    for head in sys:
+    for head in frame[:, spec.key_bit]:
         for _ in range(n - 1):
-            head = head * k0[0]
+            head = head * frame[0, 0]
         heads.append(head)
     if spec.basis == COMPUTATIONAL:
         amp = np.zeros(2 ** n, dtype=complex)
@@ -406,7 +402,8 @@ def decoherence_factor(spec, params):
     _check_rejected_setup(spec, params)
     link = build_interaction_chain(spec)[0]
     used = params.used_qubits(spec.qubits_per_layer)
-    (r00, r01), (r10, r11) = _FRESH_QUBIT[spec.basis]
+    # entries of |e0><e0|, the state of every fresh environment qubit
+    (r00, r01), (r10, r11) = _PROJECTORS[spec.basis][0].tolist()
     gammas = []
     for f1 in link.factors[:used]:
         (a, b), (c, d) = f1.tolist()

@@ -13,6 +13,7 @@ import pytest
 
 from qdleak.errors import DegeneracyError, DimensionLimitError
 from qdleak.linalg import (
+    DIM_LIMIT,
     DensityMatrix,
     StateVector,
     apply_unitary,
@@ -378,6 +379,15 @@ def test_projector_dims_must_be_integers():
     assert abs(np.trace(p0).real - 2.0) < 1e-10
 
 
+def test_projector_dim_ceiling_is_checked_before_any_draw():
+    class NoDraws:
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("drew normals before checking the dimension")
+
+    with pytest.raises(DimensionLimitError):
+        random_complementary_projectors(DIM_LIMIT + 1, 1, NoDraws())
+
+
 # ------------------------------------------------------- state classes
 
 def test_state_vector_validation_and_norm():
@@ -429,6 +439,19 @@ def test_apply_unitary_targets_must_be_integers():
         apply_unitary(psi, (2, 2, 2), u, (3,))
     # the empty run scales the state by a 1x1 operator
     np.testing.assert_array_equal(apply_unitary(psi, (2, 2, 2), [[2.0]], ()), 2 * psi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dims: partial_trace(np.eye(4) / 4, dims, (0,)),
+    lambda dims: apply_unitary(np.full(4, 0.5), dims, I2, (0,)),
+    lambda dims: reduced_density(np.full(4, 0.5), dims, (0,)),
+], ids=["partial_trace", "apply_unitary", "reduced_density"])
+def test_dims_follow_the_subsystem_rule(call):
+    # the rule StateVector and DensityMatrix apply: integers, all positive
+    with pytest.raises(ValueError, match="dims must be an integer, got 2.0"):
+        call((2.0, 2.0))
+    with pytest.raises(ValueError, match="subsystem dimensions must be positive"):
+        call((-2, -2))
 
 
 def test_density_matrix_validate():

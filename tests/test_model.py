@@ -1,6 +1,7 @@
 """Exchange-model tests: couplings, chains, reduced states, decoherence."""
 
 import gc
+import itertools
 import math
 import weakref
 from dataclasses import replace
@@ -131,6 +132,31 @@ def test_q_prime_half_mixing_closed_form_where_qr_degenerates():
         orthonormalize_qr(0.5 * I2 + 0.5 * cx(0.0))
     np.testing.assert_allclose(np.abs(q_prime(0.5, 0.0)),
                                np.full((2, 2), 1 / np.sqrt(2)), atol=1e-12)
+
+
+# ------------------------------------------------------- basis frames
+
+@pytest.mark.parametrize("basis", [COMPUTATIONAL, HADAMARD])
+def test_basis_frame_projectors_are_shared_read_only_and_states_fresh(basis):
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    frame = I2 if basis == COMPUTATIONAL else h
+    pair = model.basis_projectors(basis)
+    again = model.basis_projectors(basis)
+    for p, q, k in zip(pair, again, frame.T):
+        assert p is q
+        np.testing.assert_array_equal(p, np.outer(k, k.conj()))
+        with pytest.raises(ValueError, match="read-only"):
+            p[0, 0] = 0.0
+    link = build_premeasurement(haar_spec(basis=basis))
+    assert all(p is q for p, q in zip(link.projectors, pair))
+    states = basis_states(basis)
+    for state, k in zip(states, frame.T):
+        assert state.flags.writeable
+        assert state.tobytes() == k.tobytes()
+        state[:] = 0.0
+    assert all(s.tobytes() == k.tobytes() for s, k in zip(basis_states(basis), frame.T))
+    with pytest.raises(ValueError, match="read-only"):
+        model.HADAMARD_GATE[0, 0] = 0.0
 
 
 # ----------------------------------------------------- premeasurement
@@ -451,3 +477,20 @@ def test_gamma_hadamard_equals_computational_analytic():
         gh = decoherence_factor(analytic_spec(basis=HADAMARD, epsilon=eps),
                                 DecoherenceFactorParams(HADAMARD))
         assert abs(gc - gh) < 1e-12
+
+
+def test_gamma_hadamard_equals_computational_haar_draw_for_draw():
+    # a hadamard chain is the Hadamard frame of the computational one drawn
+    # from the same seed, so a rejected round's gamma agrees on every draw
+    cases = 0
+    for ne, eps, seed, fraction in itertools.product(
+            range(1, 8), (0.0, 0.25, 0.37, 0.5, 0.75, 1.0), range(12), (0.0, 0.5)):
+        if ne == 1 and fraction == 0.5:
+            continue
+        sc = haar_spec(qubits_per_layer=ne, epsilon=eps, seed=seed)
+        gamma_c = decoherence_factor(sc, DecoherenceFactorParams(COMPUTATIONAL, fraction))
+        gamma_h = decoherence_factor(replace(sc, basis=HADAMARD),
+                                     DecoherenceFactorParams(HADAMARD, fraction))
+        assert abs(gamma_h - gamma_c) <= 1e-12, (ne, eps, seed, fraction)
+        cases += 1
+    assert cases == 936
