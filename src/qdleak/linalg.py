@@ -411,11 +411,6 @@ class StateVector:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def apply(self, op, targets):
-        """New StateVector with `op` applied to an ascending run of subsystems."""
-        return StateVector(
-            apply_unitary(self.amplitudes, self.dims, op, targets), self.dims)
-
     def reduced(self, keep):
         """reduced_density of this state over a run of adjacent subsystems."""
         return reduced_density(self.amplitudes, self.dims, keep)

@@ -40,6 +40,7 @@ from .errors import ContractError, DegeneracyError
 from .linalg import (
     StateVector,
     _integer,
+    apply_unitary,
     haar_unitary,
     kron,
     kron_all,
@@ -322,12 +323,13 @@ def build_initial_state(spec):
 
 
 def _evolve(state, hops):
-    """Apply each hop's operator in turn; ContractError once the norm drifts past 1e-9."""
+    """Hops run on the amplitude array, wrapped once; ContractError at norm drift > 1e-9."""
+    amp, dims = state.amplitudes, state.dims
     for hop in hops:
-        state = state.apply(hop.operator(), hop.source + hop.target)
-        if abs(state.norm() - 1.0) > 1e-9:
+        amp = apply_unitary(amp, dims, hop.operator(), hop.source + hop.target)
+        if abs(np.linalg.norm(amp) - 1.0) > 1e-9:
             raise ContractError("state norm drifted beyond 1e-9 after a hop")
-    return state
+    return StateVector(amp, dims)
 
 
 def run_exchange(spec):

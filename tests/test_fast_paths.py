@@ -1,10 +1,11 @@
 """Differential tests of the fast paths against the numpy code they replace.
 
 `linalg.kron` on matrices must equal np.kron bit for bit, on its strided
-route as well; the 2x2 `haar_unitary` and the noisy qubit unitary, formed
-from scalars, must equal the numpy expressions they replace bit for bit;
-the Hadamard-frame conditional, a product of conjugated 2x2 factors, must
-match the dense conjugate H U H; `decoherence_factor`'s scalar overlap must
+route as well; the 2x2 `haar_unitary`, formed from scalars, and the noisy
+qubit unitary, whose mixture numpy forms around that draw, must equal the
+numpy expressions they replace bit for bit; the Hadamard-frame
+conditional, a product of conjugated 2x2 factors, must match the dense
+conjugate H U H; `decoherence_factor`'s scalar overlap must
 match the trace of matrix products; `StateVector.reduced` must form the
 Schmidt factor once, and the guesses made with the factor attached where it
 is a view must equal those of the thresholded factor it replaced; the closed-form

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdleak import model
+from qdleak import linalg, model
 from qdleak.errors import ContractError, DegeneracyError
 from qdleak.linalg import orthonormalize_qr
 from qdleak.model import (
@@ -334,6 +334,28 @@ def test_layer_pair_keeps_a_run_state_only_as_a_factor_view(eve_layer, monkeypat
     else:
         for rho, buffer in zip(pair, alive):
             assert np.shares_memory(rho.factor, buffer)
+
+
+@pytest.mark.parametrize("basis", [COMPUTATIONAL, HADAMARD])
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_a_round_wraps_its_state_only_where_it_starts_and_ends(n_layers, basis, monkeypatch):
+    # the hops run on the amplitude array: one StateVector for the initial
+    # state and one for the final, and each hop checks its dims once
+    counts = dict(states=0, dims=0)
+    post_init, dims = linalg.StateVector.__post_init__, linalg._dims
+
+    def counted_post_init(self):
+        counts["states"] += 1
+        post_init(self)
+
+    def counted_dims(d):
+        counts["dims"] += 1
+        return dims(d)
+
+    monkeypatch.setattr(linalg.StateVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(linalg, "_dims", counted_dims)
+    run_exchange(haar_spec(n_layers=n_layers, basis=basis))
+    assert counts == dict(states=2, dims=n_layers + 3)
 
 
 def test_norm_drift_after_a_link_is_a_contract_violation(monkeypatch):
