@@ -16,6 +16,7 @@ from qdleak import (
     run_exchange,
     run_exchange_pair,
 )
+from qdleak.linalg import reduced_density
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -24,12 +25,14 @@ spec = ScenarioSpec(basis="computational", key_bit=1, n_layers=1,
 
 state = run_exchange(spec)
 print("one exchange, key bit 1, two-qubit layer, eps = 0.5")
-print("global state dims:", state.dims, " norm:", round(state.norm(), 12))
+print("global state dims:", state.dims,
+      " norm:", round(float(np.linalg.norm(state.amplitudes)), 12))
 print("apparatus state (should be the pointer state |1><1| - accepted")
 print("rounds never decohere the encoded bit):")
-print(state.reduced((1,)).matrix.real)
+print(reduced_density(state.amplitudes, state.dims, (1,)).matrix.real)
 print("leaked layer state (4x4, generally mixed):")
-print(np.round(state.reduced(spec.layer_qubits(1)).matrix.real, 4))
+print(np.round(reduced_density(state.amplitudes, state.dims,
+                               spec.layer_qubits(1)).matrix.real, 4))
 
 # The eavesdropper's problem: distinguish the bit-0 and bit-1 versions of
 # that layer, produced by the *same* device (same seed, same couplings).

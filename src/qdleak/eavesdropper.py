@@ -208,16 +208,6 @@ def analytic_key_rate(n_layers, epsilon, alpha=0.0):
     return key_rate(analytic_pguess(n_layers, epsilon, alpha))
 
 
-def sign_flipped_difference_keyrate(p_guess):
-    """The key-rate difference formula with its overall sign dropped.
-
-    Evaluates (1-P)lg(1-P) + P lg P, i.e. exactly -key_rate(P). Kept as a
-    regression diagnostic: a transcription of the difference formula that
-    omits the leading 1 + ... of the mutual information produces this value.
-    """
-    return _signed_plog(_check_pguess(p_guess))
-
-
 def keyrate_variant_report(n_layers, epsilon, alpha=0.0):
     """Canonical closed-form key rate next to three defective variants.
 
@@ -248,7 +238,7 @@ def keyrate_variant_report(n_layers, epsilon, alpha=0.0):
     report = {
         "p_guess": pg,
         "canonical": canonical,
-        "sign_flipped_difference": sign_flipped_difference_keyrate(pg),
+        "sign_flipped_difference": _signed_plog(_check_pguess(pg)),
         "chain_form_plus_sign": chain_plus_sign,
         "single_layer_q_squared": single_layer_q2,
     }

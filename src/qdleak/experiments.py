@@ -46,6 +46,7 @@ from .model import (
     MODE_HAAR,
     DecoherenceFactorParams,
     ScenarioSpec,
+    _check_coupling,
     decoherence_factor,
     run_exchange_pair,
 )
@@ -134,9 +135,8 @@ class SweepConfig:
         for grid in ("ne_grid", "nl_grid"):
             object.__setattr__(self, grid, _integers(grid, getattr(self, grid)))
         object.__setattr__(self, "alpha_grid", tuple(float(a) + 0.0 for a in self.alpha_grid))
-        # NaN fails both comparisons, so this also rejects non-finite values
-        if not all(0.0 <= e <= 1.0 for e in self.eps_grid):
-            raise ValueError(f"every epsilon must be finite and in [0, 1], got {self.eps_grid}")
+        for eps in self.eps_grid:  # the model's rule, before any scenario is built
+            _check_coupling(eps, 0.0)
         # the experiment's table; its refusals come before any scenario is built
         sweep = _SWEEPS[self.experiment]
         for name in ("eve_layer", "control_mode", "basis"):

@@ -408,13 +408,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "dims", dims)
 
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def reduced(self, keep):
-        """reduced_density of this state over a run of adjacent subsystems."""
-        return reduced_density(self.amplitudes, self.dims, keep)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

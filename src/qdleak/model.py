@@ -46,6 +46,7 @@ from .linalg import (
     kron_all,
     orthonormalize_qr,
     random_complementary_projectors,
+    reduced_density,
 )
 
 COMPUTATIONAL = "computational"
@@ -123,13 +124,6 @@ def basis_states(basis):
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     return tuple(k.copy() for k in _FRAMES[basis].T)
-
-
-def basis_projectors(basis):
-    """Rank-1 projector pair onto the basis pointer states, shared and read-only."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    return _PROJECTORS[basis]
 
 
 @dataclass(frozen=True)
@@ -344,10 +338,13 @@ def run_exchange_pair(spec):
     Both runs share the seed, hence the same premeasurement and the same
     drawn chain — the physical device is identical, only the encoded bit
     differs. This is the state pair an eavesdropper must distinguish, read
-    at spec.resolved_eve_layer().
+    at spec.resolved_eve_layer(); one global state is alive at a time.
     """
     keep = spec.layer_qubits(spec.resolved_eve_layer())
-    return tuple(run_exchange(replace(spec, key_bit=b)).reduced(keep) for b in (0, 1))
+    def layer_state(key_bit):
+        state = run_exchange(replace(spec, key_bit=key_bit))
+        return reduced_density(state.amplitudes, state.dims, keep)
+    return layer_state(0), layer_state(1)
 
 
 @dataclass(frozen=True)
@@ -435,7 +432,7 @@ def decoherence_factor_from_state(spec, params):
     state = _evolve(StateVector(amp / np.sqrt(2.0), spec.qubit_dims),
                     (premeasurement, build_interaction_chain(spec)[0]))
 
-    rho_sa = state.reduced((0, 1)).matrix
+    rho_sa = reduced_density(state.amplitudes, state.dims, (0, 1)).matrix
     # pointer branch i: the premeasured |i>|ready apparatus>
     k0, k1 = basis_states(spec.basis)
     b0, b1 = (premeasurement.operator() @ np.kron(k, k0) for k in (k0, k1))

@@ -15,8 +15,8 @@ from qdleak.eavesdropper import (
     analytic_pguess,
     helstrom_pguess,
     key_rate,
+    keyrate_variant_report,
     mutual_information,
-    sign_flipped_difference_keyrate,
 )
 from qdleak.errors import DegeneracyError
 from qdleak.experiments import SweepConfig, run_and_write, run_experiment
@@ -180,7 +180,13 @@ def test_criterion_7_key_rate_identities():
             if x > 0.0:
                 oracle -= x * math.log(x) / ln2
         worst_entropy = max(worst_entropy, abs(r - oracle))
-        worst_flip = max(worst_flip, abs(sign_flipped_difference_keyrate(p) + r))
+    # the sign-flipped difference form of the closed-form chains is -key_rate
+    for n in range(1, 6):
+        for eps in EPS_GRID:
+            for alpha in ALPHA_GRID:
+                rep = keyrate_variant_report(n, eps, alpha)
+                worst_flip = max(worst_flip,
+                                 abs(rep["sign_flipped_difference"] + rep["canonical"]))
     endpoints_ok = key_rate(0.5) == 1.0 and key_rate(1.0) == 0.0
     report(7, "key-rate identity suite",
            worst_sum <= 1e-12 and worst_entropy <= 1e-12

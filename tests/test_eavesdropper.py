@@ -13,7 +13,6 @@ from qdleak.eavesdropper import (
     keyrate_variant_report,
     mutual_information,
     nested_control_pguess,
-    sign_flipped_difference_keyrate,
     subset_pguess,
     subspace_pguess,
 )
@@ -297,11 +296,6 @@ def test_analytic_matches_simulation(n, eps, alpha):
 
 
 # -------------------------------------------------- variant diagnostics
-
-def test_sign_flipped_variant_is_negated_key_rate():
-    for p in np.linspace(0.5, 1.0, 50):
-        assert sign_flipped_difference_keyrate(p) == -key_rate(p)
-
 
 def test_variant_report_flags_the_defective_forms():
     rep = keyrate_variant_report(2, 0.3, 0.0)

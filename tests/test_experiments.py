@@ -97,6 +97,16 @@ def test_sweep_config_validation():
             SweepConfig(experiment="layers_table", **grids)
 
 
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+def test_epsilon_range_is_refused_by_the_model_rule(experiment):
+    # model._check_coupling is epsilon's one home; the config states no rule of its own
+    for eps in (1.5, -0.25, math.nan):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            SweepConfig(experiment=experiment, eps_grid=(eps,))
+    cfg = SweepConfig(experiment=experiment, eps_grid=(-0.0,))
+    assert cfg.eps_grid == (0.0,) and math.copysign(1.0, cfg.eps_grid[0]) == 1.0
+
+
 SCENARIO = dict(basis="computational", key_bit=0, n_layers=2, qubits_per_layer=2,
                 epsilon=0.5)
 
