@@ -13,10 +13,10 @@ with V = I, so helstrom_pguess is subspace_pguess on the whole layer.
 A reduced layer state of the simulation has rank at most the dimension of
 the rest of the system, often far below the layer's. A last-layer state
 carries its Schmidt factor (DensityMatrix.factor), a view of the global
-state, and _signed_factor is the one place that picks the route: when the
-two factors have fewer columns in total than the layer dimension, full and
-antenna access are discriminated in the span of the two states, on matrices
-of that column count; everything else takes the dense route.
+state, and _compress is the one place that picks the route, once per
+antenna draw: it forms the compression of the key-bit difference that
+_read_at then reads at every nested rank, in the span of the two states
+when their factors allow it and densely otherwise.
 
 The closed-form guessing probability and key rate for chains of single-qubit
 layers live here too, next to the variant diagnostics that pin down the
@@ -39,20 +39,44 @@ def _states(rho0, rho1):
     return r0, r1
 
 
-def _signed_factor(rho0, rho1, dim):
-    """(B, J) with rho0/2 - rho1/2 = B diag(J) B^†, or None for the dense route.
+def _compress(rho0, rho1, isometry):
+    """(C, signs) with V^† Delta V = C diag(signs) C^†, or (V^† Delta V, None).
 
-    Needs factors F0, F1 on both states (DensityMatrix.factor) with
-    r0 + r1 < dim columns; then B = sqrt(1/2) [F0, F1] and J is +1 on F0's
-    columns and -1 on F1's.
+    Delta = rho0/2 - rho1/2 and V is `isometry` (None for V = I). When both
+    states carry factors F0, F1 (DensityMatrix.factor) of r0 + r1 < dim
+    columns, Delta = B J B^† with B = sqrt(1/2) [F0, F1] and J = +1 on F0's
+    columns and -1 on F1's, so C = V^† B has only r0 + r1 columns.
+    Otherwise Delta is formed densely.
     """
+    r0, r1 = _states(rho0, rho1)
+    v = None if isometry is None else np.asarray(isometry, dtype=complex)
+    if v is not None and v.shape[0] != r0.shape[0]:
+        raise ValueError("isometry row dimension must match the states")
     f0 = getattr(rho0, "factor", None)
     f1 = getattr(rho1, "factor", None)
-    if f0 is None or f1 is None or f0.shape[1] + f1.shape[1] >= dim:
-        return None
-    b = np.hstack((math.sqrt(0.5) * f0, math.sqrt(0.5) * f1))
-    signs = np.concatenate((np.ones(f0.shape[1]), -np.ones(f1.shape[1])))
-    return b, signs
+    if f0 is None or f1 is None or f0.shape[1] + f1.shape[1] >= r0.shape[0]:
+        delta = 0.5 * r0 - 0.5 * r1
+        return (delta if v is None else v.conj().T @ delta @ v), None
+    c = np.hstack((math.sqrt(0.5) * f0, math.sqrt(0.5) * f1))
+    if v is not None:
+        # (B^† V)^† conjugates the small B instead of V
+        c = (c.conj().T @ v).conj().T
+    return c, np.concatenate((np.ones(f0.shape[1]), -np.ones(f1.shape[1])))
+
+
+def _read_at(compression, width):
+    """1/2 + 1/2 ||W^† Delta W||_1 for W the leading `width` columns of V (None: all).
+
+    Those are C's leading rows, read through the R of C = Q R when taller
+    than wide, or the dense compression's leading block.
+    """
+    c, signs = compression
+    if signs is None:
+        return 0.5 + 0.5 * trace_norm(c[:width, :width])
+    c = c[:width]
+    if c.shape[0] > c.shape[1]:
+        c = np.linalg.qr(c, mode="r")
+    return 0.5 + 0.5 * trace_norm((c * signs) @ c.conj().T)
 
 
 def subspace_pguess(rho0, rho1, isometry):
@@ -63,30 +87,8 @@ def subspace_pguess(rho0, rho1, isometry):
     strategy measures the compression of Delta = rho0/2 - rho1/2 inside the
     subspace and answers at random for outcomes outside it, giving
     1/2 + 1/2 ||V^† Delta V||_1.
-
-    When both states carry factors of r0 + r1 < dim columns (last-layer
-    states do), the norm is taken in their span: V^† Delta V = C J C^† with
-    C = V^† B, and C = Q R gives the trace norm of the r x r matrix R J R^†
-    (C itself when it has no more rows than columns). Otherwise Delta is
-    formed densely.
     """
-    r0, r1 = _states(rho0, rho1)
-    v = None if isometry is None else np.asarray(isometry, dtype=complex)
-    if v is not None and v.shape[0] != r0.shape[0]:
-        raise ValueError("isometry row dimension must match the states")
-    low_rank = _signed_factor(rho0, rho1, r0.shape[0])
-    if low_rank is None:
-        delta = 0.5 * r0 - 0.5 * r1
-        if v is not None:
-            delta = v.conj().T @ delta @ v
-        return 0.5 + 0.5 * trace_norm(delta)
-    c, signs = low_rank
-    if v is not None:
-        # (B^† V)^† conjugates the small B instead of V
-        c = (c.conj().T @ v).conj().T
-    if c.shape[0] > c.shape[1]:
-        c = np.linalg.qr(c, mode="r")
-    return 0.5 + 0.5 * trace_norm((c * signs) @ c.conj().T)
+    return _read_at(_compress(rho0, rho1, isometry), None)
 
 
 def helstrom_pguess(rho0, rho1):
@@ -132,9 +134,10 @@ def nested_control_pguess(rho0, rho1, ks, rng):
     smaller subspace can only lose trace norm). Returns {k: p_guess}.
 
     Only the columns a proper rank 2^k < dim reads are orthonormalized
-    (haar_unitary's `columns`, at least one, from the full draw). The full
-    rank resolves the whole layer, where every orthonormal basis gives the
-    same value, so it reads no frame and equals helstrom_pguess.
+    (haar_unitary's `columns`, at least one, from the full draw) and
+    compressed, once for every such rank. The full rank resolves the whole
+    layer, where every orthonormal basis gives the same value, so it reads
+    no frame and equals helstrom_pguess.
     """
     dim = _states(rho0, rho1)[0].shape[0]
     ks = sorted(set(_integers("ks", ks)))
@@ -144,13 +147,10 @@ def nested_control_pguess(rho0, rho1, ks, rng):
         raise ValueError(f"rank 2^{ks[-1]} exceeds the layer dimension {dim}")
     proper = [2 ** k for k in ks if 1 <= k and 2 ** k < dim]
     u = haar_unitary(dim, rng, columns=max(proper, default=1))
-    out = {}
-    for k in ks:
-        if k == 0:
-            out[k] = 0.5
-        else:
-            out[k] = subspace_pguess(rho0, rho1, u[:, : 2 ** k] if 2 ** k < dim else None)
-    return out
+    antenna = _compress(rho0, rho1, u) if proper else None
+    return {k: 0.5 if k == 0
+            else _read_at(antenna, 2 ** k) if 2 ** k < dim
+            else subspace_pguess(rho0, rho1, None) for k in ks}
 
 
 def _signed_plog(p):

@@ -1,10 +1,13 @@
 """Sweep engine tests: seeding, determinism, schema, small-grid sanity."""
 
+import csv
 import ctypes
+import functools
 import math
 import os
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from qdleak.linalg import DensityMatrix, StateVector
 from qdleak.model import DecoherenceFactorParams, ScenarioSpec, decoherence_factor
 
 SMALL = dict(repetitions=3, base_seed=99)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def rows_by(rows, **match):
@@ -345,6 +349,60 @@ def test_decoherence_sweep_at_full_interaction_averages_two_thirds_per_qubit():
         exact_sd = math.sqrt(2.0 ** -ne - (4.0 / 9.0) ** ne)
         se = max(row.std, exact_sd) / math.sqrt(row.repetitions)
         assert abs(row.mean - target) <= 5 * se, (ne, row.mean, target, se)
+
+
+@functools.lru_cache
+def overlap_moments(eps, n=800):
+    """E|gamma| and E|gamma|^2 of one first-layer qubit, by quadrature.
+
+    With a = eps + (1-eps) sqrt(c) e^{i phi}, the overlap is
+    |gamma| = |a| / sqrt(|a|^2 + (1-eps)^2 (1-c)) for c ~ U[0, 1] (the weight
+    of the Haar column's first entry) and phi ~ U[0, 2 pi): Gauss-Legendre
+    in c times the midpoint rule in phi.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    c = 0.5 * (x + 1.0)[:, None]
+    phi = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    a2 = np.abs(eps + (1.0 - eps) * np.sqrt(c) * np.exp(1j * phi)) ** 2
+    g2 = a2 / (a2 + (1.0 - eps) ** 2 * (1.0 - c))
+    return float(0.5 * w @ np.sqrt(g2).mean(axis=1)), float(0.5 * w @ g2.mean(axis=1))
+
+
+def test_overlap_moments_reproduce_the_known_means():
+    assert abs(overlap_moments(0.0)[0] - 2.0 / 3.0) <= 1e-7
+    assert abs(overlap_moments(0.0)[1] - 0.5) <= 1e-12
+    assert abs(overlap_moments(0.5)[0] - 0.8) <= 1e-7
+    assert overlap_moments(1.0) == (1.0, 1.0)
+
+
+def decoherence_z_scores(rows):
+    """|mean - E[Gamma]| / SE of each (eps, ne, mean, std, n) row.
+
+    The qubits are independent, so E[Gamma] = (E|gamma|)^ne and
+    E[Gamma^2] = (E|gamma|^2)^ne whatever the seed; SE takes the larger of
+    the sample and exact stds, and a floor for eps = 1, where gamma is 1
+    and both are rounding.
+    """
+    for eps, ne, mean, std, n in rows:
+        m1, m2 = overlap_moments(eps)
+        exact_sd = math.sqrt(max(m2 ** ne - m1 ** (2 * ne), 0.0))
+        se = max(max(std, exact_sd) / math.sqrt(n), 1e-12)
+        yield abs(mean - m1 ** ne) / se
+
+
+def test_decoherence_sweep_matches_the_exact_moments():
+    rows = run_experiment(SweepConfig(experiment="decoherence_sweep", repetitions=25))
+    assert len(rows) == 35
+    assert max(decoherence_z_scores(
+        (r.epsilon, r.qubits_per_layer, r.mean, r.std, r.repetitions) for r in rows)) <= 5
+
+
+def test_published_decoherence_sweep_matches_the_exact_moments():
+    with open(DATA / "decoherence_sweep.csv", newline="") as f:
+        rows = [(float(r["epsilon"]), int(r["qubits_per_layer"]), float(r["mean"]),
+                 float(r["std"]), int(r["repetitions"])) for r in csv.DictReader(f)]
+    assert len(rows) == 9
+    assert max(decoherence_z_scores(rows)) <= 5
 
 
 def test_decoherence_sweep_averages_both_bases_of_every_repetition():

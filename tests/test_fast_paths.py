@@ -21,10 +21,11 @@ must match the dense one on the bare matrices; a tall `orthonormalize_qr`
 must be the thin LAPACK QR with the phase fix, and the thin Haar frame
 (`haar_unitary(..., columns=c)`) the leading columns of the full one, so
 that `nested_control_pguess`, which orthonormalizes only the columns its
-proper ranks read, matches the antenna on the full unitary, and the antenna
-with no frame is `helstrom_pguess` bit for bit; the
-Hadamard-basis scenario must be the Hadamard frame of the computational
-one, draw for draw. The references are written out here, not imported.
+proper ranks read and compresses them once per draw, matches the antenna on
+the full unitary, and the antenna with no frame is `helstrom_pguess` bit for
+bit; the Hadamard-basis scenario must be the Hadamard frame of the
+computational one, draw for draw. The references are written out here, not
+imported.
 """
 
 import math
@@ -539,8 +540,8 @@ def layer_state_pairs(draw):
 def check_route(rho0, rho1):
     # the rest of a one-layer chain is two qubits, so each factor has 4
     # columns: the low-rank route is taken exactly when 4 + 4 < dim
-    low_rank = eavesdropper._signed_factor(rho0, rho1, rho0.dim)
-    assert (low_rank is not None) == (rho0.dim > 8)
+    signs = eavesdropper._compress(rho0, rho1, None)[1]
+    assert (signs is not None) == (rho0.dim > 8)
 
 
 @PROPERTY
@@ -625,6 +626,28 @@ def test_thin_antenna_matches_the_full_frame(case, seed):
             assert got[full_rank] == helstrom_pguess(*pair)
 
 
+@pytest.mark.parametrize("ne, ks, antennas, full", (
+    (1, (0, 1), 0, 1), (3, (1, 2), 1, 0), (3, (0, 1, 2, 3), 1, 1), (7, range(8), 1, 1)))
+def test_nested_antenna_compresses_once_per_draw(ne, ks, antennas, full, monkeypatch):
+    # ne = 3 takes the dense route (4 + 4 factor columns fill the layer), ne = 7
+    # the factor route; ne = 1 has no proper rank, so only the full rank compresses
+    spec = ScenarioSpec(basis=COMPUTATIONAL, key_bit=0, n_layers=1, qubits_per_layer=ne,
+                        epsilon=0.5, seed=ne)
+    pair = run_exchange_pair(spec)
+    want = nested_control_pguess(*pair, ks, np.random.default_rng(ne))
+    calls = []
+    original = eavesdropper._compress
+
+    def counted(rho0, rho1, isometry):
+        calls.append(isometry is None)
+        return original(rho0, rho1, isometry)
+
+    monkeypatch.setattr(eavesdropper, "_compress", counted)
+    got = nested_control_pguess(*pair, ks, np.random.default_rng(ne))
+    assert got == want
+    assert calls.count(False) == antennas and calls.count(True) == full
+
+
 @pytest.mark.parametrize(
     "keep", ((2, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4), (1, 3, 5, 7, 8), (2, 3, 4)))
 def test_reduced_forms_the_schmidt_factor_once(keep, monkeypatch):
@@ -683,7 +706,7 @@ def threshold_then_reduce(state, keep):
 @pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("nl", (1, 2, 3))
 def test_always_attached_factor_keeps_every_guess_bit_for_bit(nl, basis):
-    # the route that _signed_factor picks for the factor attached where it is
+    # the route that _compress picks for the factor attached where it is
     # a view is the one the thresholded factor took, so every value is unchanged
     for ne in range(1, 8):
         if 2 + nl * ne > 14:
